@@ -91,7 +91,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_manifest(out: Path, config_echo: dict, duration: float, conservation: dict) -> None:
+def _write_manifest(out: Path, config_echo: dict, duration: float, drift: float) -> None:
     _write_json(
         out / "manifest.json",
         {
@@ -100,7 +100,11 @@ def _write_manifest(out: Path, config_echo: dict, duration: float, conservation:
             "numpy_version": np.__version__,
             "version": __version__,
             "duration_seconds": duration,
-            "conservation": conservation,
+            "conservation": {
+                "checked": True,
+                "max_relative_drift": drift,
+                "tolerance": CONSERVATION_RTOL,
+            },
         },
     )
 
@@ -118,8 +122,11 @@ def cmd_simulate(config: RunConfig) -> int:
     duration = time.perf_counter() - start
 
     header = ["m"] + [f"wealth_{j}" for j in range(config.agents)]
+    # One row at a time: a whole-array tolist() would hold every record as
+    # Python floats at once.
     rows = (
-        [str(st.transaction_index)] + [_fmt(v) for v in st.wealth] for st in traj
+        [str(m)] + [repr(v) for v in row.tolist()]
+        for m, row in zip(traj.indices.tolist(), traj.wealth)
     )
     _write_csv(out / "trajectory.csv", header, rows)
 
@@ -132,16 +139,7 @@ def cmd_simulate(config: RunConfig) -> int:
             for i, c in enumerate(hist.counts)
         ),
     )
-    _write_manifest(
-        out,
-        config.to_dict(),
-        duration,
-        {
-            "checked": True,
-            "max_relative_drift": traj.max_conservation_drift,
-            "tolerance": CONSERVATION_RTOL,
-        },
-    )
+    _write_manifest(out, config.to_dict(), duration, traj.max_conservation_drift)
     return EXIT_OK
 
 
@@ -191,16 +189,7 @@ def cmd_compare(config: RunConfig) -> int:
             ["m", "variance"],
             ([str(int(m)), _fmt(v)] for m, v in zip(result.indices, series)),
         )
-    _write_manifest(
-        out,
-        config.to_dict(),
-        duration,
-        {
-            "checked": True,
-            "max_relative_drift": result.max_conservation_drift,
-            "tolerance": CONSERVATION_RTOL,
-        },
-    )
+    _write_manifest(out, config.to_dict(), duration, result.max_conservation_drift)
     return EXIT_OK
 
 
@@ -231,39 +220,39 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
             "fixed_point": [sol.fixed_point_x, sol.fixed_point_y],
             "coefficients": [sol.coeff_x, sol.coeff_y],
             "m_max": m_max,
-            "params": {
-                "lambda_x": p.lambda_x,
-                "lambda_y": p.lambda_y,
-                "epsilon": p.epsilon,
-                "x0": p.x0,
-                "y0": p.y0,
-            },
+            "params": dataclasses.asdict(p),
         },
     )
     w = p.total
     drift = float(np.abs((xs + ys) - w).max() / w) if w > 0.0 else 0.0
     _write_manifest(
         out,
-        {
-            "lambda_x": p.lambda_x,
-            "lambda_y": p.lambda_y,
-            "epsilon": p.epsilon,
-            "x0": p.x0,
-            "y0": p.y0,
-            "m_max": m_max,
-            "output_dir": output_dir,
-        },
+        {**dataclasses.asdict(p), "m_max": m_max, "output_dir": output_dir},
         duration,
-        {"checked": True, "max_relative_drift": drift, "tolerance": CONSERVATION_RTOL},
+        drift,
     )
     return EXIT_OK
 
 
-def cmd_concordance(config: RunConfig, p: TwoEconomyParams) -> int:
-    """Ensemble mean vs closed form; exit 2 when the deviation tops the threshold."""
+def cmd_concordance(config: RunConfig, extras: dict) -> int:
+    """Ensemble mean vs closed form; exit 2 when the deviation tops the threshold.
+
+    ``extras`` carries the two-economy keys ``lambda_x``, ``lambda_y``, ``x0``
+    and ``y0``.
+    """
     if config.agents != 2:
         raise ParameterError(f"concordance requires agents = 2, got {config.agents}")
+    missing = [k for k in _CONCORDANCE_KEYS if k not in extras]
+    if missing:
+        raise ParameterError(f"concordance needs {missing} via flags or config")
     background = background_from_dict(config.background)
+    p = TwoEconomyParams(
+        extras["lambda_x"],
+        extras["lambda_y"],
+        induced_epsilon_mean(background, n=2),
+        extras["x0"],
+        extras["y0"],
+    )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -304,11 +293,7 @@ def cmd_concordance(config: RunConfig, p: TwoEconomyParams) -> int:
             "y0": p.y0,
         },
         duration,
-        {
-            "checked": True,
-            "max_relative_drift": report.max_conservation_drift,
-            "tolerance": CONSERVATION_RTOL,
-        },
+        report.max_conservation_drift,
     )
     if not passed:
         print(
@@ -465,18 +450,7 @@ def main(argv=None) -> int:
                 defaults={"agents": 2, "replicas": 1000, "transactions": 200,
                           "background": {"kind": "gaussian"}},
             )
-            missing = [k for k in _CONCORDANCE_KEYS if k not in extras]
-            if missing:
-                raise ParameterError(f"concordance needs {missing} via flags or config")
-            background = background_from_dict(config.background)
-            p = TwoEconomyParams(
-                extras["lambda_x"],
-                extras["lambda_y"],
-                induced_epsilon_mean(background, n=2),
-                extras["x0"],
-                extras["y0"],
-            )
-            return cmd_concordance(config, p)
+            return cmd_concordance(config, extras)
         raise ParameterError(f"unknown command {args.command!r}")
     except (ParameterError, DegenerateInputError, json.JSONDecodeError) as exc:
         print(f"wealthsim: config error: {exc}", file=sys.stderr)

@@ -140,6 +140,27 @@ class NoiseBackground:
         """Return a (count, n) array of raw draws, every entry in [0, 1]."""
         raise NotImplementedError
 
+    def shares(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Return ``count`` share vectors of length n as the rows of a matrix.
+
+        Raw rows are director-cosine normalized; all-zero raw rows
+        (probability zero for continuous backgrounds) are resampled.
+        """
+        raw = self.sample_raw(count, n, rng)
+        sq = raw * raw
+        totals = sq.sum(axis=1)
+        zero = np.flatnonzero(totals == 0.0)
+        while zero.size:
+            redraw = self.sample_raw(zero.size, n, rng)
+            sq[zero] = redraw * redraw
+            totals[zero] = sq[zero].sum(axis=1)
+            zero = zero[totals[zero] == 0.0]
+        return sq / totals[:, None]
+
+    def mean_share(self, n: int) -> float:
+        """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
+        return 1.0 / n
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -224,12 +245,22 @@ class ConstantBackground(NoiseBackground):
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
 
-    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _check_size(self, n: int) -> None:
         if n != self.epsilon.size:
             raise ParameterError(
                 f"constant background has {self.epsilon.size} shares, asked for {n}"
             )
+
+    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        self._check_size(n)
         return np.broadcast_to(self.epsilon, (count, n)).copy()
+
+    def shares(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_raw(count, n, rng)
+
+    def mean_share(self, n: int) -> float:
+        self._check_size(n)
+        return float(self.epsilon[0])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "epsilon": [float(v) for v in self.epsilon]}
@@ -286,26 +317,15 @@ def sample_epsilon_matrix(
 ) -> np.ndarray:
     """Draw ``count`` share vectors of length n as the rows of a matrix.
 
-    Equivalent to sampling raw vectors and normalizing each row; all-zero raw
-    rows (probability zero for continuous backgrounds) are resampled.
-    Constant backgrounds return their stored shares directly.
+    Equivalent to sampling raw vectors and normalizing each row (see
+    ``NoiseBackground.shares``); constant backgrounds return their stored
+    shares directly.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if isinstance(background, ConstantBackground):
-        return background.sample_raw(count, n, rng)
-    raw = background.sample_raw(count, n, rng)
-    sq = raw * raw
-    totals = sq.sum(axis=1)
-    zero = np.flatnonzero(totals == 0.0)
-    while zero.size:
-        redraw = background.sample_raw(zero.size, n, rng)
-        sq[zero] = redraw * redraw
-        totals[zero] = sq[zero].sum(axis=1)
-        zero = zero[totals[zero] == 0.0]
-    return sq / totals[:, None]
+    return background.shares(count, n, rng)
 
 
 def _step_kernel(
@@ -371,26 +391,29 @@ def pairwise_delta(
 class Trajectory:
     """Recorded states of one run plus conservation diagnostics.
 
-    Behaves as a sequence of ``WealthState``: the initial state, every
-    ``record_every``-th state, and the final state.
+    ``indices`` (int64, shape ``(records,)``) holds the transaction index of
+    each record and ``wealth`` (shape ``(records, n)``) the wealth vector:
+    the initial state, every ``record_every``-th state, and the final state.
+    Behaves as a sequence of ``WealthState`` built on access.
     """
 
-    states: list[WealthState]
+    indices: np.ndarray
+    wealth: np.ndarray
     max_conservation_drift: float
     total_wealth: float
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.indices.size
 
-    def __getitem__(self, i):
-        return self.states[i]
+    def __getitem__(self, i: int) -> WealthState:
+        return WealthState(int(self.indices[i]), self.wealth[i])
 
     def __iter__(self) -> Iterator[WealthState]:
-        return iter(self.states)
+        return (self[r] for r in range(len(self)))
 
     @property
     def final(self) -> WealthState:
-        return self.states[-1]
+        return self[-1]
 
 
 def _evolve(
@@ -405,41 +428,42 @@ def _evolve(
 ) -> float:
     """Run the exchange law ``transactions`` times, recording via callback.
 
-    Share vectors are pre-sampled in blocks; the state update itself is
-    inherently sequential.  Returns the max relative drift of total wealth
-    against the initial total; raises ``ConservationError`` past tolerance.
+    Records go out at transaction 0, every ``record_every`` transactions, and
+    at the end.  Share vectors are pre-sampled in blocks; the state update
+    itself is inherently sequential.  Returns the max relative drift of total
+    wealth against the initial total; raises ``ConservationError`` past
+    tolerance or when any wealth goes negative.
     """
+    if transactions < 1:
+        raise ParameterError(f"transactions must be >= 1, got {transactions}")
+    if record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {record_every}")
     x = np.array(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = x.size
     release = 1.0 - lam
     total = float(x.sum())
+    if not math.isfinite(total):
+        raise ParameterError(f"total wealth must be finite, got {total}")
     inv_total = 1.0 / total if total > 0.0 else 0.0
-    eps_const = None
-    if isinstance(background, ConstantBackground):
-        if background.epsilon.size != n:
-            raise ParameterError(
-                f"constant background has {background.epsilon.size} shares for {n} agents"
-            )
-        eps_const = background.epsilon
     max_drift = 0.0
     on_record(0, x)
     done = 0
     while done < transactions:
         todo = min(block, transactions - done)
-        rows = None if eps_const is not None else sample_epsilon_matrix(background, todo, n, rng)
+        rows = sample_epsilon_matrix(background, todo, n, rng)
         for k in range(todo):
-            eps: np.ndarray = eps_const if rows is None else rows[k]  # type: ignore[assignment]
-            x = _step_kernel(lam, release, x, eps)
+            x = _step_kernel(lam, release, x, rows[k])
+            m = done + k + 1
             drift = abs(x.sum() - total) * inv_total
             if drift > max_drift:
                 if drift > CONSERVATION_RTOL:
                     raise ConservationError(
-                        f"total wealth drifted by {drift:.3e} at transaction {done + k + 1}"
+                        f"total wealth drifted by {drift:.3e} at transaction {m}"
                     )
                 max_drift = drift
-            assert x.min() >= 0.0
-            m = done + k + 1
+            if not x.min() >= 0.0:
+                raise ConservationError(f"wealth went negative at transaction {m}")
             if m % record_every == 0 or m == transactions:
                 on_record(m, x)
         done += todo
@@ -460,27 +484,27 @@ def run_trajectory(
     exchange step.  States are recorded at transaction 0, every
     ``record_every`` transactions, and at the end.
     """
-    if transactions < 1:
-        raise ParameterError(f"transactions must be >= 1, got {transactions}")
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
     if len(params) < 1:
         raise ParameterError("need at least one agent")
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
     rng = make_rng(seed)
-    states: list[WealthState] = []
-    max_drift = _evolve(
-        lam,
-        x0,
-        background,
-        transactions,
-        rng,
-        record_every,
-        lambda i, x: states.append(WealthState(i, x.copy())),
-    )
+    indices = wealth = np.empty(0)
+
+    def record(i: int, x: np.ndarray) -> None:
+        nonlocal indices, wealth
+        if i == 0:  # _evolve has checked transactions and record_every by now
+            rows = -(-transactions // record_every) + 1
+            indices = np.empty(rows, dtype=np.int64)
+            wealth = np.empty((rows, x.size))
+        r = -(-i // record_every)  # the final record may fall between cadence points
+        indices[r] = i
+        wealth[r] = x
+
+    max_drift = _evolve(lam, x0, background, transactions, rng, record_every, record)
     return Trajectory(
-        states=states,
+        indices=indices,
+        wealth=wealth,
         max_conservation_drift=max_drift,
         total_wealth=float(x0.sum()),
     )

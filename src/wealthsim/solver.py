@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_SEED,
-    ConstantBackground,
-    NoiseBackground,
-    _evolve,
-    make_rng,
-)
-from .errors import ParameterError
+from .core import MAX_SEED, NoiseBackground, _evolve, make_rng
+from .errors import ConservationError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -60,6 +54,8 @@ class TwoEconomyParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be >= 0, got {v}")
+        if not math.isfinite(self.total):
+            raise ParameterError(f"x0 + y0 must be finite, got {self.total}")
 
     @property
     def total(self) -> float:
@@ -154,8 +150,8 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
     x = sol.fixed_point_x + sol.coeff_x * t
     y = sol.fixed_point_y + sol.coeff_y * t
     w = sol.total
-    if w > 0.0:
-        assert abs((x + y) - w) / w <= 1e-9
+    if w > 0.0 and not abs((x + y) - w) / w <= 1e-9:
+        raise ConservationError(f"closed form drifted total wealth at m = {m}")
     return (float(x), float(y))
 
 
@@ -176,13 +172,7 @@ def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if isinstance(background, ConstantBackground):
-        if background.epsilon.size != n:
-            raise ParameterError(
-                f"constant background has {background.epsilon.size} shares, asked for {n}"
-            )
-        return float(background.epsilon[0])
-    return 1.0 / n
+    return background.mean_share(n)
 
 
 @dataclass
@@ -215,8 +205,6 @@ def concordance(
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    if transactions < 1:
-        raise ParameterError(f"transactions must be >= 1, got {transactions}")
     eps_det = induced_epsilon_mean(background, n=2)
     det = TwoEconomyParams(p.lambda_x, p.lambda_y, eps_det, p.x0, p.y0)
     x_det, _ = evaluate_series(closed_form(det), transactions)

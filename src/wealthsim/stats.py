@@ -235,10 +235,6 @@ def variance_trajectory(
     Returns (indices, variances, max conservation drift) without storing full
     states; the workhorse behind background comparisons.
     """
-    if transactions < 1:
-        raise ParameterError(f"transactions must be >= 1, got {transactions}")
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
     indices: list[int] = []

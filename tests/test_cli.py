@@ -367,6 +367,14 @@ def test_invalid_config_exits_one(tmp_path):
         )
         == 1
     )
+    # total wealth that overflows to inf would disable the conservation check
+    huge = ["--agents", "2", "--initial-wealth", "1e308", "--transactions", "5"]
+    assert main(["simulate", *huge, "--out", str(tmp_path / "u")]) == 1
+    assert main(["compare", *huge, "--replicas", "1", "--out", str(tmp_path / "t")]) == 1
+    pair = ["--lambda-x", "0.5", "--lambda-y", "0.5", "--x0", "1e308", "--y0", "1e308"]
+    assert main(["concordance", *pair, "--transactions", "5", "--replicas", "2",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert main(["solve", *pair, "--epsilon", "0.5", "--out", str(tmp_path / "r")]) == 1
 
 
 def test_usage_error_exits_one():

@@ -1,5 +1,10 @@
 """Exchange law, share normalization, and noise backgrounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,6 +254,11 @@ def test_trajectory_recording_cadence():
     params = ws.make_agents(3, 0.5, 1.0)
     traj = ws.run_trajectory(params, ws.UniformBackground(), 25, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20, 25]
+    assert traj.indices.dtype == np.int64
+    assert traj.indices.tolist() == [0, 10, 20, 25]
+    assert traj.wealth.shape == (4, 3)
+    for r in range(len(traj)):
+        assert np.array_equal(traj.wealth[r], traj[r].wealth)
     traj = ws.run_trajectory(params, ws.UniformBackground(), 20, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20]
 
@@ -259,7 +269,7 @@ def test_trajectory_matches_repeated_step():
     bg = ws.ConstantBackground(REF_EPSILON)
     traj = ws.run_trajectory(params, bg, 50, 0, record_every=1)
     st = ws.WealthState(0, np.array(REF_WEALTH))
-    for recorded in traj.states[1:]:
+    for recorded in list(traj)[1:]:
         st = ws.step(st, params, REF_EPSILON)
         assert np.array_equal(recorded.wealth, st.wealth)
         assert recorded.transaction_index == st.transaction_index
@@ -284,6 +294,34 @@ def test_trajectory_parameter_errors():
         ws.run_trajectory(params, ws.UniformBackground(), 10, 1, record_every=0)
     with pytest.raises(ws.ParameterError):
         ws.run_trajectory(params, ws.ConstantBackground(np.array([1.0])), 10, 1)
+
+
+def test_negative_wealth_raises_under_optimize():
+    # The invariant checks must not be asserts: python -O strips those.
+    script = """
+import numpy as np
+from wealthsim import ClosedFormSolution, ConservationError, ConstantBackground, evaluate, make_rng
+from wealthsim.core import _evolve
+try:
+    _evolve(np.array([1.5, 0.0]), np.array([100.0, 0.0]),
+            ConstantBackground(np.array([0.5, 0.5])), 10, make_rng(0), 1, lambda i, x: None)
+except ConservationError:
+    pass
+else:
+    raise SystemExit("negative wealth went unnoticed")
+try:
+    evaluate(ClosedFormSolution(1.0, 1.0, 0.5, 1.0, 1.0), 1)
+except ConservationError:
+    pass
+else:
+    raise SystemExit("closed-form drift went unnoticed")
+"""
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ------------------------------------------------------------------ plumbing
