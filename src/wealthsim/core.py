@@ -332,7 +332,9 @@ def _step_kernel(
     lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
     # Shared by step() and the trajectory loop so both routes are bit-identical.
-    pool = release @ x
+    # x is one state (n,) or a stack (R, n); the stacked matmul takes the same
+    # per-row dot as ``release @ x``, where ``x @ release`` would not.
+    pool = np.matmul(x[..., None, :], release[:, None])[..., 0]
     return lam * x + eps * pool
 
 
@@ -421,52 +423,65 @@ def _evolve(
     wealth: np.ndarray,
     background: NoiseBackground,
     transactions: int,
-    rng: np.random.Generator,
+    seed: int,
+    replicas: int,
     record_every: int,
     on_record: Callable[[int, np.ndarray], None],
-    block: int = 8192,
 ) -> float:
-    """Run the exchange law ``transactions`` times, recording via callback.
+    """Step ``replicas`` copies of the exchange law side by side, recording via callback.
 
-    Records go out at transaction 0, every ``record_every`` transactions, and
-    at the end.  Share vectors are pre-sampled in blocks; the state update
-    itself is inherently sequential.  Returns the max relative drift of total
-    wealth against the initial total; raises ``ConservationError`` past
-    tolerance or when any wealth goes negative.
+    Replica k draws its shares from seed ``(seed + k) mod 2**64``; ``seed``
+    itself must lie in [0, 2**64 - 1].  The ``(replicas, n)`` state is
+    recorded at transaction 0, every ``record_every`` transactions, and at
+    the end.  Returns the max relative drift of any replica's total wealth;
+    raises ``ConservationError`` on negative wealth, or after a block in
+    which drift passed tolerance.
     """
     if transactions < 1:
         raise ParameterError(f"transactions must be >= 1, got {transactions}")
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
-    x = np.array(wealth, dtype=float)
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    rngs = [make_rng(seed)] + [make_rng((seed + k) & MAX_SEED) for k in range(1, replicas)]
+    x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    n = x.size
+    n = x0.size
     release = 1.0 - lam
-    total = float(x.sum())
+    with np.errstate(over="ignore"):
+        total = float(x0.sum())
     if not math.isfinite(total):
         raise ParameterError(f"total wealth must be finite, got {total}")
     inv_total = 1.0 / total if total > 0.0 else 0.0
     max_drift = 0.0
+    x = np.tile(x0, (replicas, 1))
+    lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
     on_record(0, x)
-    done = 0
-    while done < transactions:
-        todo = min(block, transactions - done)
-        rows = sample_epsilon_matrix(background, todo, n, rng)
-        for k in range(todo):
-            x = _step_kernel(lam, release, x, rows[k])
-            m = done + k + 1
-            drift = abs(x.sum() - total) * inv_total
-            if drift > max_drift:
-                if drift > CONSERVATION_RTOL:
-                    raise ConservationError(
-                        f"total wealth drifted by {drift:.3e} at transaction {m}"
-                    )
-                max_drift = drift
+    per_block = max(1, 8192 // replicas)
+    eps = np.empty((min(per_block, transactions), replicas, n))
+    sums = np.empty((len(eps), replicas))
+    for done in range(0, transactions, per_block):
+        todo = min(per_block, transactions - done)
+        for k, rng in enumerate(rngs):
+            eps[:todo, k] = sample_epsilon_matrix(background, todo, n, rng)
+        for j in range(todo):
+            x = _step_kernel(lam_rows, release, x, eps[j])
+            x.sum(axis=1, out=sums[j])
+            m = done + j + 1
             if not x.min() >= 0.0:
                 raise ConservationError(f"wealth went negative at transaction {m}")
             if m % record_every == 0 or m == transactions:
                 on_record(m, x)
-        done += todo
+        # While wealth stays non-negative it is bounded by the total, so the
+        # drift of a whole block can be checked after it.
+        drift = abs(sums[:todo] - total).max(axis=1) * inv_total
+        over = np.flatnonzero(drift > CONSERVATION_RTOL)
+        if over.size:
+            j = int(over[0])
+            raise ConservationError(
+                f"total wealth drifted by {drift[j]:.3e} at transaction {done + j + 1}"
+            )
+        max_drift = max(max_drift, drift.max())
     return float(max_drift)
 
 
@@ -488,7 +503,6 @@ def run_trajectory(
         raise ParameterError("need at least one agent")
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
-    rng = make_rng(seed)
     indices = wealth = np.empty(0)
 
     def record(i: int, x: np.ndarray) -> None:
@@ -496,12 +510,12 @@ def run_trajectory(
         if i == 0:  # _evolve has checked transactions and record_every by now
             rows = -(-transactions // record_every) + 1
             indices = np.empty(rows, dtype=np.int64)
-            wealth = np.empty((rows, x.size))
+            wealth = np.empty((rows, x0.size))
         r = -(-i // record_every)  # the final record may fall between cadence points
         indices[r] = i
-        wealth[r] = x
+        wealth[r] = x[0]
 
-    max_drift = _evolve(lam, x0, background, transactions, rng, record_every, record)
+    max_drift = _evolve(lam, x0, background, transactions, seed, 1, record_every, record)
     return Trajectory(
         indices=indices,
         wealth=wealth,

@@ -14,14 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MAX_SEED,
     AgentParams,
     GaussianBackground,
     NoiseBackground,
     UniformBackground,
     WealthState,
     _evolve,
-    make_rng,
 )
 from .errors import DegenerateInputError, ParameterError
 
@@ -229,23 +227,26 @@ def variance_trajectory(
     transactions: int,
     seed: int,
     record_every: int,
+    replicas: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cross-agent wealth variance at the recording cadence.
+    """Cross-agent wealth variance at the recording cadence, per replica.
 
-    Returns (indices, variances, max conservation drift) without storing full
-    states; the workhorse behind background comparisons.
+    Replica k runs with seed ``(seed + k) mod 2**64``.  Returns (indices of
+    shape ``(records,)``, variances of shape ``(replicas, records)``, max
+    conservation drift) without storing full states; the workhorse behind
+    background comparisons.
     """
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
     indices: list[int] = []
-    variances: list[float] = []
+    variances: list[np.ndarray] = []
 
     def record(i: int, x: np.ndarray) -> None:
         indices.append(i)
-        variances.append(float(x.var()))
+        variances.append(x.var(axis=1))
 
-    drift = _evolve(lam, x0, background, transactions, make_rng(seed), record_every, record)
-    return np.array(indices, dtype=np.int64), np.array(variances), drift
+    drift = _evolve(lam, x0, background, transactions, seed, replicas, record_every, record)
+    return np.array(indices, dtype=np.int64), np.stack(variances, axis=1), drift
 
 
 @dataclass
@@ -299,23 +300,14 @@ def compare_backgrounds(
     pre-transaction snapshot is not a dynamics outcome and would skew the
     first detection window.
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
     bg_a = UniformBackground() if background_a is None else background_a
     bg_b = GaussianBackground() if background_b is None else background_b
     cadence = record_every if record_every is not None else max(1, transactions // 10_000)
 
-    series_a: list[np.ndarray] = []
-    series_b: list[np.ndarray] = []
-    indices = np.empty(0, dtype=np.int64)
-    max_drift = 0.0
-    for k in range(replicas):
-        seed_k = (base_seed + k) & MAX_SEED
-        indices, va, da = variance_trajectory(params, bg_a, transactions, seed_k, cadence)
-        _, vb, db = variance_trajectory(params, bg_b, transactions, seed_k, cadence)
-        series_a.append(va)
-        series_b.append(vb)
-        max_drift = max(max_drift, da, db)
+    indices, series_a, da = variance_trajectory(
+        params, bg_a, transactions, base_seed, cadence, replicas
+    )
+    _, series_b, db = variance_trajectory(params, bg_b, transactions, base_seed, cadence, replicas)
 
     tail = max(1, int(round(indices.size * tail_fraction)))
     rep_var_a = [float(v[-tail:].mean()) for v in series_a]
@@ -357,5 +349,5 @@ def compare_backgrounds(
         indices=indices,
         ensemble_variance_uniform=ens_a,
         ensemble_variance_gaussian=ens_b,
-        max_conservation_drift=max_drift,
+        max_conservation_drift=max(da, db),
     )

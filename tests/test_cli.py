@@ -375,6 +375,9 @@ def test_invalid_config_exits_one(tmp_path):
     assert main(["concordance", *pair, "--transactions", "5", "--replicas", "2",
                  "--out", str(tmp_path / "s")]) == 1
     assert main(["solve", *pair, "--epsilon", "0.5", "--out", str(tmp_path / "r")]) == 1
+    # an ensemble needs at least one replica
+    assert main(["compare", "--replicas", "0", "--out", str(tmp_path / "q")]) == 1
+    assert main(["concordance", "--replicas", "0", "--out", str(tmp_path / "p")]) == 1
 
 
 def test_usage_error_exits_one():

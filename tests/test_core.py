@@ -300,11 +300,12 @@ def test_negative_wealth_raises_under_optimize():
     # The invariant checks must not be asserts: python -O strips those.
     script = """
 import numpy as np
-from wealthsim import ClosedFormSolution, ConservationError, ConstantBackground, evaluate, make_rng
+from wealthsim import ClosedFormSolution, ConservationError, ConstantBackground, evaluate
 from wealthsim.core import _evolve
 try:
     _evolve(np.array([1.5, 0.0]), np.array([100.0, 0.0]),
-            ConstantBackground(np.array([0.5, 0.5])), 10, make_rng(0), 1, lambda i, x: None)
+            ConstantBackground(np.array([0.5, 0.5])), transactions=10, seed=0, replicas=1,
+            record_every=1, on_record=lambda i, x: None)
 except ConservationError:
     pass
 else:

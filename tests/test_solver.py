@@ -283,6 +283,21 @@ def test_concordance_gaussian_ensemble():
     assert rep.max_conservation_drift <= ws.CONSERVATION_RTOL
 
 
+def test_concordance_mean_matches_single_replica_runs():
+    bg = ws.GaussianBackground()
+    rep = ws.concordance(REF, bg, replicas=3, transactions=60, base_seed=17)
+    r0, r1, r2 = (
+        ws.concordance(REF, bg, replicas=1, transactions=60, base_seed=17 + k).ensemble_mean_x
+        for k in range(3)
+    )
+    assert np.array_equal(rep.ensemble_mean_x, (r0 + r1 + r2) / 3)
+
+
+def test_concordance_rejects_zero_replicas():
+    with pytest.raises(ws.ParameterError):
+        ws.concordance(REF, ws.GaussianBackground(), replicas=0, transactions=10, base_seed=1)
+
+
 def test_concordance_single_replica_sanity_bound():
     rep = ws.concordance(
         REF, ws.GaussianBackground(), replicas=1, transactions=200, base_seed=5

@@ -244,6 +244,32 @@ def test_running_moments_merge_matches_batch():
 # ---------------------------------------------------------------- comparison
 
 
+@pytest.mark.parametrize(
+    "bg", [ws.UniformBackground(), ws.GaussianBackground()], ids=["uniform", "gaussian"]
+)
+def test_variance_trajectory_replica_k_runs_seed_plus_k(bg):
+    # 3000 transactions span two sampling blocks at 3 replicas and one at 1.
+    params = ws.make_agents(8, 0.8, 5.0)
+    indices, batch, _ = ws.variance_trajectory(params, bg, 3000, 40, 7, replicas=3)
+    assert batch.shape == (3, indices.size)
+    for k in range(3):
+        _, single, _ = ws.variance_trajectory(params, bg, 3000, 40 + k, 7)
+        assert single.shape == (1, indices.size)
+        assert np.array_equal(batch[k], single[0])
+    # replica seeds wrap modulo 2**64
+    _, top, _ = ws.variance_trajectory(params, bg, 3000, ws.MAX_SEED, 7, replicas=2)
+    _, zero, _ = ws.variance_trajectory(params, bg, 3000, 0, 7)
+    assert np.array_equal(top[1], zero[0])
+
+
+def test_compare_rejects_bad_replicas_and_seed():
+    params = ws.make_agents(4, 0.9, 1.0)
+    with pytest.raises(ws.ParameterError):
+        ws.compare_backgrounds(params, 10, 0, 1)
+    with pytest.raises(ws.ParameterError):
+        ws.compare_backgrounds(params, 10, 2, -1)
+
+
 def test_compare_self_test_is_exactly_zero():
     params = ws.make_agents(20, 0.9, 10.0)
     res = ws.compare_backgrounds(
