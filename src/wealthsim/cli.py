@@ -41,6 +41,37 @@ EXIT_THRESHOLD = 2
 EXIT_IO = 3
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return _is_number(v) or (isinstance(v, list) and all(_is_number(u) for u in v))
+
+
+#: Run config key -> (type check, what a value must be).  Config files are
+#: outside input; a mistyped value would otherwise crash the run or be
+#: coerced silently while the manifest echoes it as written.
+_CONFIG_TYPES = {
+    "agents": (_is_int, "an integer"),
+    "lambdas": (_is_numbers, "a number or a list of numbers"),
+    "initial_wealth": (_is_numbers, "a number or a list of numbers"),
+    "background": (lambda v: isinstance(v, dict), "an object"),
+    "transactions": (_is_int, "an integer"),
+    "replicas": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "record_every": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "bins": (_is_int, "an integer"),
+    "threshold": (_is_number, "a number"),
+    "self_test": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class RunConfig:
     """Settings for ensemble subcommands; serialized verbatim into manifests."""
@@ -64,6 +95,10 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            check, kind = _CONFIG_TYPES[key]
+            if not check(value):
+                raise ParameterError(f"config key {key!r} must be {kind}, got {value!r}")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -403,15 +438,13 @@ def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) ->
     extras = {k: file_conf.pop(k) for k in list(file_conf) if k in _CONCORDANCE_KEYS}
     merged.update(file_conf)
 
-    background = dict(merged.get("background", {"kind": "uniform"}))
+    background = merged.get("background", {"kind": "uniform"})
     if getattr(args, "background", None) is not None:
         background = {"kind": args.background}
-    if getattr(args, "mean", None) is not None:
-        background["mean"] = args.mean
-    if getattr(args, "sigma", None) is not None:
-        background["sigma"] = args.sigma
-    if getattr(args, "epsilon", None) is not None:
-        background["epsilon"] = args.epsilon
+    flags = {k: getattr(args, k, None) for k in ("mean", "sigma", "epsilon")}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if flags and isinstance(background, dict):  # RunConfig.from_dict rejects a non-object
+        background = {**background, **flags}
     merged["background"] = background
 
     for key in _RUN_KEYS:

@@ -50,6 +50,11 @@ MAX_SEED = 2**64 - 1
 # too little mass in [0, 1].
 _MAX_REJECTION_SWEEPS = 1000
 
+# Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
+# are sized to this whatever the agent and replica counts.  Sampling streams
+# are split-invariant, so the block size changes no result.
+_BLOCK_BYTES = 512 * 1024
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer."""
@@ -137,25 +142,34 @@ class NoiseBackground:
     kind: ClassVar[str] = ""
 
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Return a (count, n) array of raw draws, every entry in [0, 1]."""
+        """Return a (count, n) array of raw draws, every entry in [0, 1].
+
+        The array must be freshly allocated, because ``shares`` normalizes it
+        in place.  Draws are taken in stream order, so two consecutive calls
+        for ``a`` and ``b`` rows return the rows of one call for ``a + b``:
+        the block sizes of the caller change no draw.
+        """
         raise NotImplementedError
 
     def shares(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Return ``count`` share vectors of length n as the rows of a matrix.
 
-        Raw rows are director-cosine normalized; all-zero raw rows
-        (probability zero for continuous backgrounds) are resampled.
+        Raw rows are director-cosine normalized in place.  All-zero raw rows
+        (probability zero for continuous backgrounds) are dropped and the
+        block is topped up from the stream, so the result is the first
+        ``count`` usable rows in stream order and stays split-invariant.
         """
-        raw = self.sample_raw(count, n, rng)
-        sq = raw * raw
+        sq = self.sample_raw(count, n, rng)
+        sq *= sq
         totals = sq.sum(axis=1)
-        zero = np.flatnonzero(totals == 0.0)
-        while zero.size:
-            redraw = self.sample_raw(zero.size, n, rng)
-            sq[zero] = redraw * redraw
-            totals[zero] = sq[zero].sum(axis=1)
-            zero = zero[totals[zero] == 0.0]
-        return sq / totals[:, None]
+        while not totals.all():
+            keep = totals != 0.0
+            extra = self.sample_raw(count - np.count_nonzero(keep), n, rng)
+            extra *= extra
+            sq = np.concatenate((sq[keep], extra))
+            totals = np.concatenate((totals[keep], extra.sum(axis=1)))
+        sq /= totals[:, None]
+        return sq
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
@@ -186,9 +200,10 @@ def _normal_cdf(t: float) -> float:
 class GaussianBackground(NoiseBackground):
     """Raw draws i.i.d. Gaussian, rejection-sampled into [0, 1].
 
-    Out-of-range draws are redrawn rather than clipped, so the density keeps
-    its shape with no atoms at the boundaries.  The defaults put the 6-sigma
-    band exactly on [0, 1], making rejections negligible.
+    Out-of-range draws are dropped rather than clipped, so the density keeps
+    its shape with no atoms at the boundaries; the next in-range draw of the
+    stream takes their place.  The defaults put the 6-sigma band exactly on
+    [0, 1], making rejections negligible.
     """
 
     mean: float = 0.5
@@ -211,20 +226,25 @@ class GaussianBackground(NoiseBackground):
             )
 
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.normal(self.mean, self.sigma, size=count * n)
-        bad = np.flatnonzero((u < 0.0) | (u > 1.0))
-        sweeps = 0
-        while bad.size:
-            sweeps += 1
-            if sweeps > _MAX_REJECTION_SWEEPS:
-                raise ParameterError(
-                    "rejection sampling into [0, 1] failed to terminate; "
-                    "background keeps too little mass in range"
-                )
-            redraw = rng.normal(self.mean, self.sigma, size=bad.size)
-            u[bad] = redraw
-            bad = bad[(redraw < 0.0) | (redraw > 1.0)]
-        return u.reshape(count, n)
+        # The first count * n in-range draws of the stream, in order: each
+        # sweep draws exactly the missing count, so the result does not
+        # depend on how a caller splits its rows into calls.
+        size = count * n
+        u = rng.normal(self.mean, self.sigma, size=size)
+        ok = u >= 0.0
+        ok &= u <= 1.0
+        if ok.all():
+            return u.reshape(count, n)
+        u = u[ok]
+        for _ in range(_MAX_REJECTION_SWEEPS):
+            extra = rng.normal(self.mean, self.sigma, size=size - u.size)
+            u = np.concatenate((u, extra[(extra >= 0.0) & (extra <= 1.0)]))
+            if u.size == size:
+                return u.reshape(count, n)
+        raise ParameterError(
+            "rejection sampling into [0, 1] failed to terminate; "
+            "background keeps too little mass in range"
+        )
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "mean": self.mean, "sigma": self.sigma}
@@ -457,7 +477,13 @@ def _evolve(
     x = np.tile(x0, (replicas, 1))
     lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
     on_record(0, x)
-    per_block = max(1, 8192 // replicas)
+    # Bytes per block row, float64 but for the masks: the shares (replicas, n)
+    # and row sums (replicas,), which the drift check reuses in place; the raw
+    # draws of the replica being sampled (normalized in place), their row
+    # total and the drift; two range-check masks of n and one drift mask.  A
+    # rejected Gaussian draw briefly adds a compacted copy of the raw draws.
+    row_bytes = 8 * replicas * (n + 1) + 8 * (n + 2) + 2 * n + 1
+    per_block = max(1, _BLOCK_BYTES // row_bytes)
     eps = np.empty((min(per_block, transactions), replicas, n))
     sums = np.empty((len(eps), replicas))
     for done in range(0, transactions, per_block):
@@ -474,7 +500,11 @@ def _evolve(
                 on_record(m, x)
         # While wealth stays non-negative it is bounded by the total, so the
         # drift of a whole block can be checked after it.
-        drift = abs(sums[:todo] - total).max(axis=1) * inv_total
+        dev = sums[:todo]
+        dev -= total
+        np.abs(dev, out=dev)
+        drift = dev.max(axis=1)
+        drift *= inv_total
         over = np.flatnonzero(drift > CONSERVATION_RTOL)
         if over.size:
             j = int(over[0])

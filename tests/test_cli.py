@@ -350,6 +350,27 @@ def test_invalid_config_exits_one(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{nope")
     assert main(["simulate", "--config", str(notjson), "--out", str(tmp_path / "y")]) == 1
+    # mistyped values are rejected, not coerced or left to crash
+    for i, conf in enumerate(
+        [
+            {"agents": 2.5},
+            {"agents": True},
+            {"bins": "5"},
+            {"seed": 1.5},
+            {"record_every": 2.0},
+            {"background": "gaussian"},
+            {"lambdas": "0.9"},
+            {"initial_wealth": [1.0, None]},
+        ]
+    ):
+        typed = tmp_path / f"typed{i}.json"
+        typed.write_text(json.dumps({"transactions": 5, **conf}))
+        out = tmp_path / f"typed{i}"
+        assert main(["simulate", "--config", str(typed), "--out", str(out)]) == 1, conf
+        assert not out.exists()
+    typed.write_text(json.dumps({"threshold": [0.1], "lambda_x": 0.5, "lambda_y": 0.5,
+                                 "x0": 1.0, "y0": 1.0}))
+    assert main(["concordance", "--config", str(typed), "--out", str(tmp_path / "r")]) == 1
     # bad parameter values surface as usage errors too
     assert main(["simulate", "--agents", "0", "--out", str(tmp_path / "z")]) == 1
     assert main(["simulate", "--lambda", "1.5", "--out", str(tmp_path / "w")]) == 1

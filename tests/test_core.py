@@ -1,12 +1,15 @@
 """Exchange law, share normalization, and noise backgrounds."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import wealthsim as ws
 
@@ -124,6 +127,57 @@ def test_sample_epsilon_matrix_rows_are_simplex():
         assert rows.shape == (2000, 12)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=ws.SIMPLEX_ATOL)
         assert rows.min() >= 0.0 and rows.max() <= 1.0
+
+
+class _CoinBackground(ws.NoiseBackground):
+    """Raw draws 0 or 1: two agents get an all-zero raw row a quarter of the time."""
+
+    def sample_raw(self, count, n, rng):
+        return rng.integers(0, 2, (count, n)).astype(float)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.integers(1, 40),
+    b=st.integers(1, 40),
+    n=st.integers(1, 12),
+    mean=st.floats(-1.0, 2.0),
+    sigma=st.floats(0.05, 2.0),
+    seed=st.integers(0, ws.MAX_SEED),
+)
+def test_gaussian_sample_raw_is_split_invariant(a, b, n, mean, sigma, seed):
+    scale = sigma * math.sqrt(2.0)
+    assume(0.5 * (math.erf((1.0 - mean) / scale) + math.erf(mean / scale)) >= 0.1)
+    bg = ws.GaussianBackground(mean, sigma)
+    rng = ws.make_rng(seed)
+    split = np.concatenate((bg.sample_raw(a, n, rng), bg.sample_raw(b, n, rng)))
+    whole = bg.sample_raw(a + b, n, ws.make_rng(seed))
+    assert whole.shape == (a + b, n)
+    assert np.array_equal(split, whole)
+    assert whole.min() >= 0.0 and whole.max() <= 1.0
+
+
+def test_shares_drop_zero_rows_in_stream_order():
+    bg = _CoinBackground()
+    whole = bg.shares(60, 2, ws.make_rng(5))
+    for a in (1, 7, 30, 59):
+        rng = ws.make_rng(5)
+        split = np.concatenate((bg.shares(a, 2, rng), bg.shares(60 - a, 2, rng)))
+        assert np.array_equal(split, whole)
+    assert np.array_equal(whole.sum(axis=1), np.ones(60))
+
+
+def test_wide_trajectory_samples_in_small_blocks():
+    # A 2000-row block at n=1000 would be 16 MB of shares alone.
+    params = ws.make_agents(1000, 0.9, 100.0)
+    ws.run_trajectory(params, ws.GaussianBackground(), 1, 1)  # lazy numpy imports
+    tracemalloc.start()
+    try:
+        ws.run_trajectory(params, ws.GaussianBackground(), 2000, 1, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --------------------------------------------------------------------- step

@@ -245,7 +245,9 @@ def test_running_moments_merge_matches_batch():
 
 
 @pytest.mark.parametrize(
-    "bg", [ws.UniformBackground(), ws.GaussianBackground()], ids=["uniform", "gaussian"]
+    "bg",
+    [ws.UniformBackground(), ws.GaussianBackground(), ws.GaussianBackground(0.5, 0.5)],
+    ids=["uniform", "gaussian", "gaussian-wide"],
 )
 def test_variance_trajectory_replica_k_runs_seed_plus_k(bg):
     # 3000 transactions span two sampling blocks at 3 replicas and one at 1.
