@@ -269,24 +269,23 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_concordance(config: RunConfig, extras: dict) -> int:
+def cmd_concordance(config: RunConfig) -> int:
     """Ensemble mean vs closed form; exit 2 when the deviation tops the threshold.
 
-    ``extras`` carries the two-economy keys ``lambda_x``, ``lambda_y``, ``x0``
-    and ``y0``.
+    Agent 0 is economy x and agent 1 economy y.  Every transaction is
+    recorded, so ``record_every`` must be null or 1.
     """
     if config.agents != 2:
         raise ParameterError(f"concordance requires agents = 2, got {config.agents}")
-    missing = [k for k in _CONCORDANCE_KEYS if k not in extras]
-    if missing:
-        raise ParameterError(f"concordance needs {missing} via flags or config")
+    if config.record_every not in (None, 1):
+        raise ParameterError(
+            f"concordance records every transaction; record_every must be null or 1, "
+            f"got {config.record_every}"
+        )
+    ax, ay = make_agents(2, config.lambdas, config.initial_wealth)
     background = background_from_dict(config.background)
     p = TwoEconomyParams(
-        extras["lambda_x"],
-        extras["lambda_y"],
-        induced_epsilon_mean(background, n=2),
-        extras["x0"],
-        extras["y0"],
+        ax.lam, ay.lam, induced_epsilon_mean(background, n=2), ax.initial_wealth, ay.initial_wealth
     )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,18 +317,7 @@ def cmd_concordance(config: RunConfig, extras: dict) -> int:
             "total_wealth": report.total_wealth,
         },
     )
-    _write_manifest(
-        out,
-        {
-            **config.to_dict(),
-            "lambda_x": p.lambda_x,
-            "lambda_y": p.lambda_y,
-            "x0": p.x0,
-            "y0": p.y0,
-        },
-        duration,
-        report.max_conservation_drift,
-    )
+    _write_manifest(out, config.to_dict(), duration, report.max_conservation_drift)
     if not passed:
         print(
             f"concordance deviation {report.max_relative_deviation:.4f} exceeds "
@@ -428,15 +416,38 @@ def _load_config_file(path: str | None) -> dict:
 
 
 _RUN_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
-_CONCORDANCE_KEYS = ["lambda_x", "lambda_y", "x0", "y0"]
+
+#: Two-economy name -> (run key, entry).  ``concordance`` flags and config
+#: files with these keys set entry 0 (economy x) or 1 (economy y) of a run
+#: key; a scalar run value is first broadcast to two entries.
+_ENTRY_KEYS = {
+    "lambda_x": ("lambdas", 0),
+    "lambda_y": ("lambdas", 1),
+    "x0": ("initial_wealth", 0),
+    "y0": ("initial_wealth", 1),
+}
 
 
-def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) -> tuple[RunConfig, dict]:
-    """defaults < config file < explicit flags; returns extras for concordance."""
+def _set_entries(merged: dict, source: dict) -> None:
+    for key, (run_key, entry) in _ENTRY_KEYS.items():
+        if key not in source:
+            continue
+        if not _is_number(source[key]):
+            raise ParameterError(f"config key {key!r} must be a number, got {source[key]!r}")
+        current = merged.get(run_key, getattr(RunConfig, run_key))
+        if _is_number(current):
+            current = [current, current]
+        if not (isinstance(current, list) and len(current) == 2):
+            raise ParameterError(f"{key!r} sets entry {entry} of {run_key}, got {current!r}")
+        merged[run_key] = [source[key] if i == entry else v for i, v in enumerate(current)]
+
+
+def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
+    """defaults < config file < explicit flags."""
     merged: dict = dict(defaults or {})
     file_conf = _load_config_file(args.config)
-    extras = {k: file_conf.pop(k) for k in list(file_conf) if k in _CONCORDANCE_KEYS}
-    merged.update(file_conf)
+    merged.update({k: v for k, v in file_conf.items() if k not in _ENTRY_KEYS})
+    _set_entries(merged, file_conf)
 
     background = merged.get("background", {"kind": "uniform"})
     if getattr(args, "background", None) is not None:
@@ -453,11 +464,8 @@ def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) ->
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    for key in _CONCORDANCE_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            extras[key] = val
-    return RunConfig.from_dict(merged), extras
+    _set_entries(merged, {k: v for k, v in vars(args).items() if v is not None})
+    return RunConfig.from_dict(merged)
 
 
 def main(argv=None) -> int:
@@ -469,21 +477,19 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            config, _ = _merge_run_config(args)
-            return cmd_simulate(config)
+            return cmd_simulate(_merge_run_config(args))
         if args.command == "compare":
-            config, _ = _merge_run_config(args)
-            return cmd_compare(config)
+            return cmd_compare(_merge_run_config(args))
         if args.command == "solve":
             p = TwoEconomyParams(args.lambda_x, args.lambda_y, args.epsilon, args.x0, args.y0)
             return cmd_solve(p, args.m_max, args.output_dir)
         if args.command == "concordance":
-            config, extras = _merge_run_config(
+            config = _merge_run_config(
                 args,
                 defaults={"agents": 2, "replicas": 1000, "transactions": 200,
                           "background": {"kind": "gaussian"}},
             )
-            return cmd_concordance(config, extras)
+            return cmd_concordance(config)
         raise ParameterError(f"unknown command {args.command!r}")
     except (ParameterError, DegenerateInputError, json.JSONDecodeError) as exc:
         print(f"wealthsim: config error: {exc}", file=sys.stderr)

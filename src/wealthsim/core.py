@@ -55,6 +55,11 @@ _MAX_REJECTION_SWEEPS = 1000
 # are split-invariant, so the block size changes no result.
 _BLOCK_BYTES = 512 * 1024
 
+# Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
+# 1 + _MAX_REJECTION_SWEEPS tries, so a call for one block of _BLOCK_BYTES // 8
+# draws runs out of sweeps with probability at most 1e-12.
+_MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJECTION_SWEEPS))
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer."""
@@ -219,10 +224,10 @@ class GaussianBackground(NoiseBackground):
         mass = _normal_cdf((1.0 - self.mean) / self.sigma) - _normal_cdf(
             (0.0 - self.mean) / self.sigma
         )
-        if mass < 1e-9:
+        if mass < _MIN_GAUSSIAN_MASS:
             raise ParameterError(
-                f"Gaussian({self.mean}, {self.sigma}) keeps {mass:.3e} mass in [0, 1]; "
-                "truncation by rejection is not viable"
+                f"Gaussian({self.mean}, {self.sigma}) keeps {mass:.3e} mass in [0, 1], "
+                f"below {_MIN_GAUSSIAN_MASS:.3f}; truncation by rejection is not viable"
             )
 
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:

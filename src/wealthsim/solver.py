@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseBackground, _evolve
+from .core import CONSERVATION_RTOL, NoiseBackground, _evolve
 from .errors import ConservationError, ParameterError
 
 
@@ -150,7 +150,7 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
     x = sol.fixed_point_x + sol.coeff_x * t
     y = sol.fixed_point_y + sol.coeff_y * t
     w = sol.total
-    if w > 0.0 and not abs((x + y) - w) / w <= 1e-9:
+    if w > 0.0 and not abs((x + y) - w) / w <= CONSERVATION_RTOL:
         raise ConservationError(f"closed form drifted total wealth at m = {m}")
     return (float(x), float(y))
 

@@ -1,9 +1,9 @@
 """Distributional statistics for wealth trajectories.
 
-Covers the cross-agent wealth variance, mergeable histograms and running
-moments for ensemble aggregation, a method-of-moments Gamma fit of the
-equilibrium wealth distribution, windowed equilibrium detection on variance
-series, and a matched-ensemble comparison of two noise backgrounds.
+Covers the cross-agent wealth variance, mergeable histograms for ensemble
+aggregation, a method-of-moments Gamma fit of the equilibrium wealth
+distribution, windowed equilibrium detection on variance series, and a
+matched-ensemble comparison of two noise backgrounds.
 """
 
 from __future__ import annotations
@@ -30,47 +30,6 @@ def wealth_variance(state: WealthState | Sequence[float] | np.ndarray) -> float:
     if w.size < 1:
         raise ParameterError("need at least one agent")
     return float(np.var(w))
-
-
-class RunningMoments:
-    """Streaming mean/variance accumulator with associative merge.
-
-    ``merge`` combines two accumulators as if their samples had been pushed
-    into one, so ensemble statistics can be reduced in any order.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        out = RunningMoments()
-        total = self.count + other.count
-        if total == 0:
-            return out
-        delta = other._mean - self._mean
-        out.count = total
-        out._mean = self._mean + delta * other.count / total
-        out._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        return out
-
-    def mean(self) -> float:
-        if self.count == 0:
-            raise DegenerateInputError("no samples pushed")
-        return self._mean
-
-    def variance(self) -> float:
-        """Population variance of the pushed samples."""
-        if self.count == 0:
-            raise DegenerateInputError("no samples pushed")
-        return self._m2 / self.count
 
 
 @dataclass(eq=False)
@@ -249,6 +208,11 @@ def variance_trajectory(
     return np.array(indices, dtype=np.int64), np.stack(variances, axis=1), drift
 
 
+#: Share of recorded points, at the end of a series, whose mean is taken as
+#: the equilibrium variance.
+_TAIL_FRACTION = 0.1
+
+
 @dataclass
 class ComparisonResult:
     """Matched-ensemble comparison of wealth variance under two backgrounds.
@@ -286,15 +250,12 @@ def compare_backgrounds(
     background_a: NoiseBackground | None = None,
     background_b: NoiseBackground | None = None,
     record_every: int | None = None,
-    window: int = 1000,
-    tolerance: float = 1e-3,
-    tail_fraction: float = 0.1,
 ) -> ComparisonResult:
     """Run paired ensembles under two backgrounds and compare variances.
 
     Same agents and paired seeds on both arms; arm A defaults to uniform and
     arm B to Gaussian(1/2, 1/12).  The equilibrium variance of a series is
-    its mean over the final ``tail_fraction`` of recorded points; the
+    its mean over the final tenth of recorded points; the
     reduction fraction is (var_A - var_B) / var_A (0 when var_A is 0).
     Convergence detection runs on post-transaction records only: the
     pre-transaction snapshot is not a dynamics outcome and would skew the
@@ -309,25 +270,17 @@ def compare_backgrounds(
     )
     _, series_b, db = variance_trajectory(params, bg_b, transactions, base_seed, cadence, replicas)
 
-    tail = max(1, int(round(indices.size * tail_fraction)))
+    tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
     rep_var_a = [float(v[-tail:].mean()) for v in series_a]
     rep_var_b = [float(v[-tail:].mean()) for v in series_b]
-
-    acc_a = RunningMoments()
-    acc_b = RunningMoments()
-    for va, vb in zip(rep_var_a, rep_var_b):
-        acc_a.push(va)
-        acc_b.push(vb)
-    var_a = acc_a.mean()
-    var_b = acc_b.mean()
+    var_a = float(np.mean(rep_var_a))
+    var_b = float(np.mean(rep_var_b))
 
     ens_a = np.mean(series_a, axis=0)
     ens_b = np.mean(series_b, axis=0)
 
     def detect(values: np.ndarray) -> ConvergenceReport:
-        return detect_equilibrium(
-            np.column_stack((indices[1:], values[1:])), window, tolerance
-        )
+        return detect_equilibrium(np.column_stack((indices[1:], values[1:])))
 
     conv_a = detect(ens_a)
     conv_b = detect(ens_b)

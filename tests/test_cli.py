@@ -1,6 +1,7 @@
 """Command-line harness: artifacts, exit codes, reproducibility, schemas."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from wealthsim import cli
 from wealthsim.cli import RunConfig, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -315,6 +317,67 @@ def test_concordance_zero_threshold_fails(tmp_path):
     assert payload["passed"] is False
 
 
+PAIR_FLAGS = ["--lambda-x", "0.95", "--lambda-y", "0.8", "--x0", "1000", "--y0", "2000"]
+GAUSSIAN_RUN = ["--background", "gaussian", "--replicas", "3", "--transactions", "50",
+                "--seed", "13"]
+
+
+def run_concordance(out, args):
+    assert main(["concordance", *args, "--out", str(out)]) == 0
+    return (out / "concordance.csv").read_bytes()
+
+
+def test_concordance_manifest_echoes_the_run(tmp_path):
+    first = run_concordance(tmp_path / "a", [*PAIR_FLAGS, *GAUSSIAN_RUN])
+    config = read_json(tmp_path / "a" / "manifest.json")["config"]
+    assert config["lambdas"] == [0.95, 0.8]
+    assert config["initial_wealth"] == [1000.0, 2000.0]
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(config))
+    assert run_concordance(tmp_path / "b", ["--config", str(echo)]) == first
+
+
+def test_concordance_lists_match_pair_flags(tmp_path):
+    pairs = run_concordance(tmp_path / "a", [*PAIR_FLAGS, *GAUSSIAN_RUN])
+    lists = run_concordance(
+        tmp_path / "b", ["--lambda", "0.95,0.8", "--initial-wealth", "1000,2000", *GAUSSIAN_RUN]
+    )
+    assert lists == pairs
+    # one pair flag overrides one entry of a list given by flag
+    mixed = run_concordance(
+        tmp_path / "c",
+        ["--lambda", "0.5,0.8", "--lambda-x", "0.95", "--initial-wealth", "1,2000",
+         "--x0", "1000", *GAUSSIAN_RUN],
+    )
+    assert mixed == pairs
+
+
+def test_concordance_old_style_config_runs(tmp_path):
+    pairs = run_concordance(tmp_path / "a", [*PAIR_FLAGS, *GAUSSIAN_RUN])
+    old = {
+        "agents": 2, "lambdas": 0.9, "initial_wealth": 100.0,
+        "background": {"kind": "gaussian"}, "transactions": 50, "replicas": 3,
+        "seed": 13, "record_every": None, "output_dir": "out", "bins": 50,
+        "threshold": 0.05, "self_test": False,
+        "lambda_x": 0.95, "lambda_y": 0.8, "x0": 1000.0, "y0": 2000.0,
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert run_concordance(tmp_path / "b", ["--config", str(path)]) == pairs
+    config = read_json(tmp_path / "b" / "manifest.json")["config"]
+    assert config["lambdas"] == [0.95, 0.8]
+    assert config["initial_wealth"] == [1000.0, 2000.0]
+    # without the pair keys a concordance runs at the run defaults
+    assert main(["concordance", "--replicas", "2", "--transactions", "10",
+                 "--out", str(tmp_path / "c")]) == 0
+    config = read_json(tmp_path / "c" / "manifest.json")["config"]
+    assert (config["lambdas"], config["initial_wealth"]) == (0.9, 100.0)
+
+
+def test_config_types_cover_run_config():
+    assert set(cli._CONFIG_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
 # ------------------------------------------------------------ config plumbing
 
 
@@ -371,6 +434,17 @@ def test_invalid_config_exits_one(tmp_path):
     typed.write_text(json.dumps({"threshold": [0.1], "lambda_x": 0.5, "lambda_y": 0.5,
                                  "x0": 1.0, "y0": 1.0}))
     assert main(["concordance", "--config", str(typed), "--out", str(tmp_path / "r")]) == 1
+    typed.write_text(json.dumps({"x0": "1.0"}))
+    assert main(["concordance", "--config", str(typed), "--out", str(tmp_path / "r")]) == 1
+    # concordance records every transaction; a thinner cadence is refused
+    thin = ["--transactions", "200", "--replicas", "2", "--record-every", "50"]
+    assert main(["concordance", *thin, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    # a Gaussian with too little mass in [0, 1] fails before the run starts
+    wide = ["--agents", "10", "--background", "gaussian", "--sigma", "1000",
+            "--transactions", "2000", "--seed", "3"]
+    assert main(["simulate", *wide, "--out", str(tmp_path / "n")]) == 1
+    assert not (tmp_path / "n").exists()
     # bad parameter values surface as usage errors too
     assert main(["simulate", "--agents", "0", "--out", str(tmp_path / "z")]) == 1
     assert main(["simulate", "--lambda", "1.5", "--out", str(tmp_path / "w")]) == 1

@@ -70,6 +70,9 @@ def test_background_parameter_errors():
     # hopeless truncation: nearly all mass outside [0, 1]
     with pytest.raises(ws.ParameterError):
         ws.GaussianBackground(mean=50.0, sigma=0.001)
+    # 4e-4 of the mass in range: the sweep budget would run out mid-run
+    with pytest.raises(ws.ParameterError):
+        ws.GaussianBackground(0.5, 1000.0)
 
 
 def test_background_round_trip():

@@ -222,25 +222,6 @@ def test_detect_matches_scan_on_noisy_series():
         assert rep.converged == (expected is not None)
 
 
-# ----------------------------------------------------------- running moments
-
-
-def test_running_moments_merge_matches_batch():
-    rng = ws.make_rng(77)
-    for _ in range(300):
-        a = rng.random(int(rng.integers(1, 40)))
-        b = rng.random(int(rng.integers(1, 40)))
-        ma, mb = ws.RunningMoments(), ws.RunningMoments()
-        for v in a:
-            ma.push(float(v))
-        for v in b:
-            mb.push(float(v))
-        merged = ma.merge(mb)
-        both = np.concatenate([a, b])
-        np.testing.assert_allclose(merged.mean(), both.mean(), rtol=1e-12)
-        np.testing.assert_allclose(merged.variance(), both.var(), rtol=1e-9, atol=1e-12)
-
-
 # ---------------------------------------------------------------- comparison
 
 
