@@ -12,12 +12,12 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import DegenerateInputError, ParameterError
 from .solver import TwoEconomyParams, characteristic_roots, closed_form, concordance, evaluate_series, induced_epsilon_mean
-from .stats import build_histogram, compare_backgrounds
+from .stats import _record_cadence, build_histogram, compare_backgrounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,43 +105,47 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def effective_record_every(self) -> int:
-        if self.record_every is not None:
-            return self.record_every
-        return max(1, self.transactions // 10_000)
+        return _record_cadence(self.record_every, self.transactions)
 
 
-def _fmt(v: float) -> str:
-    """Shortest decimal that round-trips the 64-bit float."""
-    return repr(float(v))
+def _write_artifacts(
+    output_dir: str, files: dict, config_echo: dict, duration: float, drift: float
+) -> None:
+    """Create ``output_dir`` and write ``files`` plus manifest.json into it.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_manifest(out: Path, config_echo: dict, duration: float, drift: float) -> None:
-    _write_json(
-        out / "manifest.json",
-        {
-            "config": config_echo,
-            "generator": GENERATOR_NAME,
-            "numpy_version": np.__version__,
-            "version": __version__,
-            "duration_seconds": duration,
-            "conservation": {
-                "checked": True,
-                "max_relative_drift": drift,
-                "tolerance": CONSERVATION_RTOL,
-            },
+    ``files`` maps a ``.json`` name to its payload and a ``.csv`` name to
+    ``(header, *columns)``; a column is a 1-D array, or a 2-D array whose
+    rows fill several fields.  Fields are the ``repr`` of Python ints and
+    floats.  Commands call this only after the run has succeeded, so a
+    failed command writes nothing, not even ``output_dir``.
+    """
+    manifest = {
+        "config": config_echo,
+        "generator": GENERATOR_NAME,
+        "numpy_version": np.__version__,
+        "version": __version__,
+        "duration_seconds": duration,
+        "conservation": {
+            "checked": True,
+            "max_relative_drift": drift,
+            "tolerance": CONSERVATION_RTOL,
         },
-    )
+    }
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in {**files, "manifest.json": manifest}.items():
+        with open(out / name, "w", newline="") as f:
+            if not name.endswith(".csv"):
+                f.write(json.dumps(content, indent=2) + "\n")
+                continue
+            header, *columns = content
+            f.write(",".join(header) + "\n")
+            # One row at a time: a whole-array tolist() would hold every
+            # record as Python floats at once.
+            fields = [map(np.ndarray.tolist, c) if c.ndim == 2 else ([v] for v in c.tolist())
+                      for c in columns]
+            f.writelines(",".join(map(repr, chain.from_iterable(row))) + "\n"
+                         for row in zip(*fields))
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -149,32 +153,23 @@ def cmd_simulate(config: RunConfig) -> int:
     params = make_agents(config.agents, config.lambdas, config.initial_wealth)
     background = background_from_dict(config.background)
     cadence = config.effective_record_every()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     traj = run_trajectory(params, background, config.transactions, config.seed, cadence)
     duration = time.perf_counter() - start
 
-    header = ["m"] + [f"wealth_{j}" for j in range(config.agents)]
-    # One row at a time: a whole-array tolist() would hold every record as
-    # Python floats at once.
-    rows = (
-        [str(m)] + [repr(v) for v in row.tolist()]
-        for m, row in zip(traj.indices.tolist(), traj.wealth)
-    )
-    _write_csv(out / "trajectory.csv", header, rows)
-
     hist = build_histogram(traj.final.wealth, bins=config.bins)
-    _write_csv(
-        out / "histogram.csv",
-        ["bin_lo", "bin_hi", "count"],
-        (
-            [_fmt(hist.bin_edges[i]), _fmt(hist.bin_edges[i + 1]), str(int(c))]
-            for i, c in enumerate(hist.counts)
+    files = {
+        "trajectory.csv": (
+            ["m", *(f"wealth_{j}" for j in range(config.agents))], traj.indices, traj.wealth
         ),
+        "histogram.csv": (
+            ["bin_lo", "bin_hi", "count"], hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts
+        ),
+    }
+    _write_artifacts(
+        config.output_dir, files, config.to_dict(), duration, traj.max_conservation_drift
     )
-    _write_manifest(out, config.to_dict(), duration, traj.max_conservation_drift)
     return EXIT_OK
 
 
@@ -185,8 +180,6 @@ def cmd_compare(config: RunConfig) -> int:
     forces a reduction fraction of exactly zero.
     """
     params = make_agents(config.agents, config.lambdas, config.initial_wealth)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     result = compare_backgrounds(
@@ -199,32 +192,32 @@ def cmd_compare(config: RunConfig) -> int:
     )
     duration = time.perf_counter() - start
 
-    payload = {
-        "variance_uniform": result.variance_uniform,
-        "variance_gaussian": result.variance_gaussian,
-        "reduction_fraction": result.reduction_fraction,
-        "convergence_index_uniform": result.convergence_uniform.equilibrium_index,
-        "convergence_index_gaussian": result.convergence_gaussian.equilibrium_index,
-        "convergence_uniform": dataclasses.asdict(result.convergence_uniform),
-        "convergence_gaussian": dataclasses.asdict(result.convergence_gaussian),
-        "replicas": result.replicas,
-        "replica_variance_uniform": result.replica_variance_uniform,
-        "replica_variance_gaussian": result.replica_variance_gaussian,
-        "replica_convergence_uniform": result.replica_convergence_uniform,
-        "replica_convergence_gaussian": result.replica_convergence_gaussian,
-        "self_test": config.self_test,
+    files = {
+        "comparison.json": {
+            "variance_uniform": result.variance_uniform,
+            "variance_gaussian": result.variance_gaussian,
+            "reduction_fraction": result.reduction_fraction,
+            "convergence_index_uniform": result.convergence_uniform.equilibrium_index,
+            "convergence_index_gaussian": result.convergence_gaussian.equilibrium_index,
+            "convergence_uniform": dataclasses.asdict(result.convergence_uniform),
+            "convergence_gaussian": dataclasses.asdict(result.convergence_gaussian),
+            "replicas": result.replicas,
+            "replica_variance_uniform": result.replica_variance_uniform,
+            "replica_variance_gaussian": result.replica_variance_gaussian,
+            "replica_convergence_uniform": result.replica_convergence_uniform,
+            "replica_convergence_gaussian": result.replica_convergence_gaussian,
+            "self_test": config.self_test,
+        },
+        "variance_uniform.csv": (
+            ["m", "variance"], result.indices, result.ensemble_variance_uniform
+        ),
+        "variance_gaussian.csv": (
+            ["m", "variance"], result.indices, result.ensemble_variance_gaussian
+        ),
     }
-    _write_json(out / "comparison.json", payload)
-    for name, series in (
-        ("variance_uniform.csv", result.ensemble_variance_uniform),
-        ("variance_gaussian.csv", result.ensemble_variance_gaussian),
-    ):
-        _write_csv(
-            out / name,
-            ["m", "variance"],
-            ([str(int(m)), _fmt(v)] for m, v in zip(result.indices, series)),
-        )
-    _write_manifest(out, config.to_dict(), duration, result.max_conservation_drift)
+    _write_artifacts(
+        config.output_dir, files, config.to_dict(), duration, result.max_conservation_drift
+    )
     return EXIT_OK
 
 
@@ -232,8 +225,6 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
     """Deterministic closed form: solution.csv rows (m, x_m, y_m) + roots.json."""
     if m_max < 0:
         raise ParameterError(f"m-max must be >= 0, got {m_max}")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     sol = closed_form(p)
@@ -241,14 +232,9 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
     xs, ys = evaluate_series(sol, m_max)
     duration = time.perf_counter() - start
 
-    _write_csv(
-        out / "solution.csv",
-        ["m", "x_m", "y_m"],
-        ([str(m), _fmt(x), _fmt(y)] for m, (x, y) in enumerate(zip(xs, ys))),
-    )
-    _write_json(
-        out / "roots.json",
-        {
+    files = {
+        "solution.csv": (["m", "x_m", "y_m"], np.arange(m_max + 1), xs, ys),
+        "roots.json": {
             "roots": [roots.root_unit, roots.root_decay],
             "root_unit": roots.root_unit,
             "root_decay": roots.root_decay,
@@ -257,15 +243,11 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
             "m_max": m_max,
             "params": dataclasses.asdict(p),
         },
-    )
+    }
     w = p.total
     drift = float(np.abs((xs + ys) - w).max() / w) if w > 0.0 else 0.0
-    _write_manifest(
-        out,
-        {**dataclasses.asdict(p), "m_max": m_max, "output_dir": output_dir},
-        duration,
-        drift,
-    )
+    echo = {**dataclasses.asdict(p), "m_max": m_max, "output_dir": output_dir}
+    _write_artifacts(output_dir, files, echo, duration, drift)
     return EXIT_OK
 
 
@@ -287,27 +269,20 @@ def cmd_concordance(config: RunConfig) -> int:
     p = TwoEconomyParams(
         ax.lam, ay.lam, induced_epsilon_mean(background, n=2), ax.initial_wealth, ay.initial_wealth
     )
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     report = concordance(p, background, config.replicas, config.transactions, config.seed)
     duration = time.perf_counter() - start
 
-    _write_csv(
-        out / "concordance.csv",
-        ["m", "ensemble_mean_x", "deterministic_x"],
-        (
-            [str(int(m)), _fmt(a), _fmt(b)]
-            for m, a, b in zip(
-                report.transaction_indices, report.ensemble_mean_x, report.deterministic_x
-            )
-        ),
-    )
     passed = report.max_relative_deviation <= config.threshold
-    _write_json(
-        out / "concordance_summary.json",
-        {
+    files = {
+        "concordance.csv": (
+            ["m", "ensemble_mean_x", "deterministic_x"],
+            report.transaction_indices,
+            report.ensemble_mean_x,
+            report.deterministic_x,
+        ),
+        "concordance_summary.json": {
             "max_relative_deviation": report.max_relative_deviation,
             "threshold": config.threshold,
             "passed": passed,
@@ -316,8 +291,10 @@ def cmd_concordance(config: RunConfig) -> int:
             "transactions": config.transactions,
             "total_wealth": report.total_wealth,
         },
+    }
+    _write_artifacts(
+        config.output_dir, files, config.to_dict(), duration, report.max_conservation_drift
     )
-    _write_manifest(out, config.to_dict(), duration, report.max_conservation_drift)
     if not passed:
         print(
             f"concordance deviation {report.max_relative_deviation:.4f} exceeds "

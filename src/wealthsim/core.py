@@ -309,15 +309,6 @@ def background_from_dict(d: dict) -> NoiseBackground:
     return bg
 
 
-def sample_background(
-    background: NoiseBackground, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one raw vector of length n from the background."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return background.sample_raw(1, n, rng)[0]
-
-
 def normalize_epsilon(u: Sequence[float] | np.ndarray) -> np.ndarray:
     """Director-cosine normalization: eps_j = u_j**2 / sum_k u_k**2.
 

@@ -1,6 +1,6 @@
 """Distributional statistics for wealth trajectories.
 
-Covers the cross-agent wealth variance, mergeable histograms for ensemble
+Covers cross-agent wealth-variance series, mergeable histograms for ensemble
 aggregation, a method-of-moments Gamma fit of the equilibrium wealth
 distribution, windowed equilibrium detection on variance series, and a
 matched-ensemble comparison of two noise backgrounds.
@@ -18,18 +18,9 @@ from .core import (
     GaussianBackground,
     NoiseBackground,
     UniformBackground,
-    WealthState,
     _evolve,
 )
 from .errors import DegenerateInputError, ParameterError
-
-
-def wealth_variance(state: WealthState | Sequence[float] | np.ndarray) -> float:
-    """Population variance of agent wealth at a single transaction index."""
-    w = state.wealth if isinstance(state, WealthState) else np.asarray(state, dtype=float)
-    if w.size < 1:
-        raise ParameterError("need at least one agent")
-    return float(np.var(w))
 
 
 @dataclass(eq=False)
@@ -213,6 +204,13 @@ def variance_trajectory(
 _TAIL_FRACTION = 0.1
 
 
+def _record_cadence(record_every: int | None, transactions: int) -> int:
+    """``record_every``, or when it is None a cadence keeping about 10,000 records."""
+    if record_every is not None:
+        return record_every
+    return max(1, transactions // 10_000)
+
+
 @dataclass
 class ComparisonResult:
     """Matched-ensemble comparison of wealth variance under two backgrounds.
@@ -263,7 +261,7 @@ def compare_backgrounds(
     """
     bg_a = UniformBackground() if background_a is None else background_a
     bg_b = GaussianBackground() if background_b is None else background_b
-    cadence = record_every if record_every is not None else max(1, transactions // 10_000)
+    cadence = _record_cadence(record_every, transactions)
 
     indices, series_a, da = variance_trajectory(
         params, bg_a, transactions, base_seed, cadence, replicas

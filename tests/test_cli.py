@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -465,14 +466,94 @@ def test_invalid_config_exits_one(tmp_path):
     # total wealth that overflows to inf would disable the conservation check
     huge = ["--agents", "2", "--initial-wealth", "1e308", "--transactions", "5"]
     assert main(["simulate", *huge, "--out", str(tmp_path / "u")]) == 1
+    assert not (tmp_path / "u").exists()
     assert main(["compare", *huge, "--replicas", "1", "--out", str(tmp_path / "t")]) == 1
+    assert not (tmp_path / "t").exists()
     pair = ["--lambda-x", "0.5", "--lambda-y", "0.5", "--x0", "1e308", "--y0", "1e308"]
     assert main(["concordance", *pair, "--transactions", "5", "--replicas", "2",
                  "--out", str(tmp_path / "s")]) == 1
+    assert not (tmp_path / "s").exists()
     assert main(["solve", *pair, "--epsilon", "0.5", "--out", str(tmp_path / "r")]) == 1
+    assert not (tmp_path / "r").exists()
     # an ensemble needs at least one replica
     assert main(["compare", "--replicas", "0", "--out", str(tmp_path / "q")]) == 1
+    assert not (tmp_path / "q").exists()
     assert main(["concordance", "--replicas", "0", "--out", str(tmp_path / "p")]) == 1
+    assert not (tmp_path / "p").exists()
+    # a run that fails, before or after stepping, writes nothing
+    for i, bad_run in enumerate(
+        [
+            ["--agents", "5", "--transactions", "300", "--bins", "0"],
+            ["--transactions", "0"],
+            ["--record-every", "-3"],
+        ]
+    ):
+        out = tmp_path / f"failed{i}"
+        assert main(["simulate", *bad_run, "--out", str(out)]) == 1, bad_run
+        assert not out.exists(), bad_run
+
+
+def _fields(path):
+    header, rows = read_csv(path)
+    return header, list(zip(*rows))
+
+
+def _assert_ints(fields, expected):
+    assert all(str(int(f)) == f for f in fields)
+    assert [int(f) for f in fields] == expected.tolist()
+
+
+def _assert_floats(fields, expected):
+    assert np.array([float(f) for f in fields]).tobytes() == expected.astype(float).tobytes()
+
+
+def test_csv_fields_round_trip_exactly(tmp_path):
+    """Integer fields print as plain ints and float fields parse to the library's bits."""
+    import wealthsim as ws
+
+    sim = ["--agents", "5", "--lambda", "0.9", "--initial-wealth", "10",
+           "--background", "gaussian", "--transactions", "40", "--seed", "3", "--bins", "4"]
+    assert main(["simulate", *sim, "--out", str(tmp_path / "sim")]) == 0
+    params = ws.make_agents(5, 0.9, 10.0)
+    traj = ws.run_trajectory(params, ws.GaussianBackground(), 40, 3, 1)
+    header, cols = _fields(tmp_path / "sim" / "trajectory.csv")
+    assert header == ["m", *(f"wealth_{j}" for j in range(5))]
+    _assert_ints(cols[0], traj.indices)
+    for j in range(5):
+        _assert_floats(cols[1 + j], traj.wealth[:, j])
+    hist = ws.build_histogram(traj.final.wealth, bins=4)
+    _, cols = _fields(tmp_path / "sim" / "histogram.csv")
+    _assert_floats(cols[0], hist.bin_edges[:-1])
+    _assert_floats(cols[1], hist.bin_edges[1:])
+    _assert_ints(cols[2], hist.counts)
+
+    cmp_ = ["--agents", "4", "--lambda", "0.9", "--initial-wealth", "10",
+            "--transactions", "60", "--replicas", "2", "--seed", "4"]
+    assert main(["compare", *cmp_, "--out", str(tmp_path / "cmp")]) == 0
+    result = ws.compare_backgrounds(ws.make_agents(4, 0.9, 10.0), 60, 2, 4)
+    for arm in ("uniform", "gaussian"):
+        _, cols = _fields(tmp_path / "cmp" / f"variance_{arm}.csv")
+        _assert_ints(cols[0], result.indices)
+        _assert_floats(cols[1], getattr(result, f"ensemble_variance_{arm}"))
+
+    p = ws.TwoEconomyParams(0.95, 0.8, 0.51, 1000.0, 2000.0)
+    assert main(["solve", "--lambda-x", "0.95", "--lambda-y", "0.8", "--epsilon", "0.51",
+                 "--x0", "1000", "--y0", "2000", "--m-max", "30",
+                 "--out", str(tmp_path / "sol")]) == 0
+    xs, ys = ws.evaluate_series(ws.closed_form(p), 30)
+    _, cols = _fields(tmp_path / "sol" / "solution.csv")
+    _assert_ints(cols[0], np.arange(31))
+    _assert_floats(cols[1], xs)
+    _assert_floats(cols[2], ys)
+
+    run_concordance(tmp_path / "con", [*PAIR_FLAGS, *GAUSSIAN_RUN])
+    report = ws.concordance(
+        ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000.0, 2000.0), ws.GaussianBackground(), 3, 50, 13
+    )
+    _, cols = _fields(tmp_path / "con" / "concordance.csv")
+    _assert_ints(cols[0], report.transaction_indices)
+    _assert_floats(cols[1], report.ensemble_mean_x)
+    _assert_floats(cols[2], report.deterministic_x)
 
 
 def test_usage_error_exits_one():

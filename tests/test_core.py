@@ -33,7 +33,7 @@ def ref_params():
 def test_constant_background_is_identity():
     rng = ws.make_rng(0)
     bg = ws.ConstantBackground(REF_EPSILON)
-    out = ws.sample_background(bg, 2, rng)
+    out = bg.sample_raw(1, 2, rng)[0]
     assert np.array_equal(out, REF_EPSILON)
 
 
@@ -46,7 +46,7 @@ def test_constant_background_rejects_non_simplex():
 
 def test_gaussian_moments_and_truncation():
     rng = ws.make_rng(123)
-    u = ws.sample_background(ws.GaussianBackground(), 10**6, rng)
+    u = ws.GaussianBackground().sample_raw(1, 10**6, rng)[0]
     assert abs(u.mean() - 0.5) < 0.001
     assert abs(u.std() - 1.0 / 12.0) < 0.002
     assert u.min() >= 0.0 and u.max() <= 1.0
@@ -54,7 +54,7 @@ def test_gaussian_moments_and_truncation():
 
 def test_uniform_moments():
     rng = ws.make_rng(456)
-    u = ws.sample_background(ws.UniformBackground(), 10**6, rng)
+    u = ws.UniformBackground().sample_raw(1, 10**6, rng)[0]
     assert abs(u.mean() - 0.5) < 0.001
     assert abs(u.var() - 1.0 / 12.0) < 0.001
     assert u.min() >= 0.0 and u.max() <= 1.0
@@ -66,7 +66,7 @@ def test_background_parameter_errors():
     with pytest.raises(ws.ParameterError):
         ws.GaussianBackground(sigma=-1.0)
     with pytest.raises(ws.ParameterError):
-        ws.sample_background(ws.UniformBackground(), 0, ws.make_rng(0))
+        ws.sample_epsilon_matrix(ws.UniformBackground(), 0, 2, ws.make_rng(0))
     # hopeless truncation: nearly all mass outside [0, 1]
     with pytest.raises(ws.ParameterError):
         ws.GaussianBackground(mean=50.0, sigma=0.001)

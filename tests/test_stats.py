@@ -8,27 +8,6 @@ import pytest
 import wealthsim as ws
 
 
-# ------------------------------------------------------------------ variance
-
-
-def test_wealth_variance_examples():
-    assert ws.wealth_variance(np.full(7, 3.25)) == 0.0
-    assert ws.wealth_variance([0.0, 2.0]) == 1.0
-    assert ws.wealth_variance([1000.0, 2000.0]) == 250000.0
-    state = ws.WealthState(3, np.array([1000.0, 2000.0]))
-    assert ws.wealth_variance(state) == 250000.0
-
-
-def test_wealth_variance_scale_quadratic():
-    rng = ws.make_rng(42)
-    for _ in range(1000):
-        x = rng.random(int(rng.integers(1, 40))) * 10.0
-        c = float(rng.random() * 5.0 + 0.1)
-        np.testing.assert_allclose(
-            ws.wealth_variance(c * x), c * c * ws.wealth_variance(x), rtol=1e-10
-        )
-
-
 # ----------------------------------------------------------------- histogram
 
 
