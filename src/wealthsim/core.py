@@ -12,7 +12,9 @@ probability simplex:
     x'_j = lam_j * x_j + eps_j * P,      sum_j eps_j = 1,  eps_j >= 0.
 
 Because the shares sum to one, total wealth is conserved exactly; every
-step is checked against a relative drift tolerance.
+step's total is kept and checked against a relative drift tolerance at the
+end of its sampling block, where non-negativity is checked once as a
+tripwire.
 
 Share vectors are built from a vector of raw draws u via director-cosine
 normalization,
@@ -52,7 +54,9 @@ _MAX_REJECTION_SWEEPS = 1000
 
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
 # are sized to this whatever the agent and replica counts.  Sampling streams
-# are split-invariant, so the block size changes no result.
+# are split-invariant, so the block size changes no result.  The chunk of
+# recorded states that ``stats.variance_trajectory`` reduces at once is
+# sized to it too.
 _BLOCK_BYTES = 512 * 1024
 
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
@@ -230,26 +234,34 @@ class GaussianBackground(NoiseBackground):
                 f"below {_MIN_GAUSSIAN_MASS:.3f}; truncation by rejection is not viable"
             )
 
+    def _in_range_draws(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        # Scaling standard_normal draws in place gives the same bits but costs
+        # two more calls, which loses on the many small draws of a run with
+        # many replicas.  The mask is built only on rejection; ``initial``
+        # lets an empty draw pass.
+        u = rng.normal(self.mean, self.sigma, size)
+        if u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0:
+            return u
+        ok = u >= 0.0
+        ok &= u <= 1.0
+        return u[ok]
+
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         # The first count * n in-range draws of the stream, in order: each
         # sweep draws exactly the missing count, so the result does not
         # depend on how a caller splits its rows into calls.
         size = count * n
-        u = rng.normal(self.mean, self.sigma, size=size)
-        ok = u >= 0.0
-        ok &= u <= 1.0
-        if ok.all():
-            return u.reshape(count, n)
-        u = u[ok]
+        u = self._in_range_draws(size, rng)
         for _ in range(_MAX_REJECTION_SWEEPS):
-            extra = rng.normal(self.mean, self.sigma, size=size - u.size)
-            u = np.concatenate((u, extra[(extra >= 0.0) & (extra <= 1.0)]))
             if u.size == size:
-                return u.reshape(count, n)
-        raise ParameterError(
-            "rejection sampling into [0, 1] failed to terminate; "
-            "background keeps too little mass in range"
-        )
+                break
+            u = np.concatenate((u, self._in_range_draws(size - u.size, rng)))
+        if u.size != size:
+            raise ParameterError(
+                "rejection sampling into [0, 1] failed to terminate; "
+                "background keeps too little mass in range"
+            )
+        return u.reshape(count, n)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "mean": self.mean, "sigma": self.sigma}
@@ -321,10 +333,18 @@ def normalize_epsilon(u: Sequence[float] | np.ndarray) -> np.ndarray:
         raise ParameterError("raw vector must be a non-empty 1-D vector")
     if not np.all(np.isfinite(u)):
         raise ParameterError("raw vector entries must be finite")
-    sq = u * u
-    total = sq.sum()
-    if total == 0.0:
-        raise DegenerateInputError("all-zero raw vector cannot be normalized")
+    with np.errstate(over="ignore"):
+        sq = u * u
+        total = sq.sum()
+    if not 0.0 < total < math.inf:
+        # The squares underflowed to zero or overflowed: rescale by the
+        # largest magnitude, which changes no share, and square again.
+        peak = np.abs(u).max()
+        if peak == 0.0:
+            raise DegenerateInputError("all-zero raw vector cannot be normalized")
+        u = u / peak
+        sq = u * u
+        total = sq.sum()
     return sq / total
 
 
@@ -345,13 +365,17 @@ def sample_epsilon_matrix(
 
 
 def _step_kernel(
-    lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray
-) -> np.ndarray:
+    lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray, pool: np.ndarray
+) -> None:
     # Shared by step() and the trajectory loop so both routes are bit-identical.
-    # x is one state (n,) or a stack (R, n); the stacked matmul takes the same
-    # per-row dot as ``release @ x``, where ``x @ release`` would not.
-    pool = np.matmul(x[..., None, :], release[:, None])[..., 0]
-    return lam * x + eps * pool
+    # x is one state (n,) or a stack (R, n), updated in place to
+    # lam * x + eps * pool; eps is overwritten and pool, of shape x.shape[:-1]
+    # + (1, 1), receives the released wealth.  The stacked matmul takes the
+    # same per-row dot as ``release @ x``, where ``x @ release`` would not.
+    np.matmul(x[..., None, :], release[:, None], out=pool)
+    eps *= pool[..., 0]
+    x *= lam
+    x += eps
 
 
 def step(
@@ -370,8 +394,8 @@ def step(
             "must have equal length"
         )
     lam = np.array([p.lam for p in params])
-    eps = np.asarray(epsilon, dtype=float)
-    new = _step_kernel(lam, 1.0 - lam, x, eps)
+    new = x.copy()
+    _step_kernel(lam, 1.0 - lam, new, np.array(epsilon, dtype=float), np.empty((1, 1)))
     total = x.sum()
     if total > 0.0 and abs(new.sum() - total) / total > CONSERVATION_RTOL:
         raise ConservationError(
@@ -449,8 +473,10 @@ def _evolve(
     Replica k draws its shares from seed ``(seed + k) mod 2**64``; ``seed``
     itself must lie in [0, 2**64 - 1].  The ``(replicas, n)`` state is
     recorded at transaction 0, every ``record_every`` transactions, and at
-    the end.  Returns the max relative drift of any replica's total wealth;
-    raises ``ConservationError`` on negative wealth, or after a block in
+    the end.  ``on_record`` receives the live state, which the next step
+    overwrites: it must copy or reduce what it keeps.  Returns the max
+    relative drift of any replica's total wealth; raises
+    ``ConservationError`` after a block that ends with negative wealth or in
     which drift passed tolerance.
     """
     if transactions < 1:
@@ -482,18 +508,22 @@ def _evolve(
     per_block = max(1, _BLOCK_BYTES // row_bytes)
     eps = np.empty((min(per_block, transactions), replicas, n))
     sums = np.empty((len(eps), replicas))
+    pool = np.empty((replicas, 1, 1))
     for done in range(0, transactions, per_block):
         todo = min(per_block, transactions - done)
         for k, rng in enumerate(rngs):
             eps[:todo, k] = sample_epsilon_matrix(background, todo, n, rng)
         for j in range(todo):
-            x = _step_kernel(lam_rows, release, x, eps[j])
+            _step_kernel(lam_rows, release, x, eps[j], pool)
             x.sum(axis=1, out=sums[j])
             m = done + j + 1
-            if not x.min() >= 0.0:
-                raise ConservationError(f"wealth went negative at transaction {m}")
             if m % record_every == 0 or m == transactions:
                 on_record(m, x)
+        # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
+        # non-negative products, which IEEE rounding keeps >= 0; so one check
+        # per block is a tripwire for broken inputs (it also catches NaN).
+        if not x.min() >= 0.0:
+            raise ConservationError(f"wealth went negative by transaction {done + todo}")
         # While wealth stays non-negative it is bounded by the total, so the
         # drift of a whole block can be checked after it.
         dev = sums[:todo]

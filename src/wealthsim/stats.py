@@ -18,6 +18,7 @@ from .core import (
     GaussianBackground,
     NoiseBackground,
     UniformBackground,
+    _BLOCK_BYTES,
     _evolve,
 )
 from .errors import DegenerateInputError, ParameterError
@@ -188,15 +189,28 @@ def variance_trajectory(
     """
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
-    indices: list[int] = []
-    variances: list[np.ndarray] = []
+    indices = variances = states = np.empty(0)
+    first = 0  # record number of states[0]
 
     def record(i: int, x: np.ndarray) -> None:
-        indices.append(i)
-        variances.append(x.var(axis=1))
+        # States are copied into a chunk of about _BLOCK_BYTES and reduced
+        # together: var over the last axis of a stack gives each state's bits.
+        nonlocal indices, variances, states, first
+        if i == 0:  # _evolve has checked transactions and record_every by now
+            rows = -(-transactions // record_every) + 1
+            indices = np.empty(rows, dtype=np.int64)
+            variances = np.empty((x.shape[0], rows))
+            states = np.empty((min(rows, max(1, _BLOCK_BYTES // x.nbytes)),) + x.shape)
+        r = -(-i // record_every)  # the final record may fall between cadence points
+        indices[r] = i
+        c = r - first + 1
+        states[c - 1] = x
+        if c == len(states) or i == transactions:
+            variances[:, first : r + 1] = states[:c].var(axis=2).T
+            first = r + 1
 
     drift = _evolve(lam, x0, background, transactions, seed, replicas, record_every, record)
-    return np.array(indices, dtype=np.int64), np.stack(variances, axis=1), drift
+    return indices, variances, drift
 
 
 #: Share of recorded points, at the end of a series, whose mean is taken as

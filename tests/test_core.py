@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wealthsim as ws
+from wealthsim.core import _evolve
 
 
 REF_LAMBDAS = [0.95, 0.8]
@@ -113,6 +114,17 @@ def test_normalize_all_zero_is_degenerate():
         ws.normalize_epsilon(np.zeros(4))
 
 
+def test_normalize_extreme_magnitudes():
+    # Squares that underflow to zero or overflow to inf are rescaled first;
+    # the error::RuntimeWarning filter turns any overflow warning into a failure.
+    for u, expected in (
+        ([1e-200, 1e-200], [0.5, 0.5]),
+        ([1e200, 1.0], [1.0, 0.0]),
+        ([1e160, 1e160], [0.5, 0.5]),
+    ):
+        assert np.array_equal(ws.normalize_epsilon(u), expected)
+
+
 def test_normalize_simplex_property():
     rng = ws.make_rng(2024)
     for _ in range(1000):
@@ -158,6 +170,20 @@ def test_gaussian_sample_raw_is_split_invariant(a, b, n, mean, sigma, seed):
     assert whole.shape == (a + b, n)
     assert np.array_equal(split, whole)
     assert whole.min() >= 0.0 and whole.max() <= 1.0
+
+
+@pytest.mark.parametrize(
+    "mean, sigma", [(0.5, 1.0 / 12.0), (0.3, 0.2), (0.5, 0.5), (0.3, 0.4), (-0.2, 0.6)]
+)
+def test_gaussian_sample_raw_is_the_in_range_normal_stream(mean, sigma):
+    bg = ws.GaussianBackground(mean, sigma)
+    for seed in (0, 1, 2**63 + 5):
+        for count, n in ((1, 1), (7, 3), (300, 20)):
+            got = bg.sample_raw(count, n, ws.make_rng(seed))
+            stream = ws.make_rng(seed).normal(mean, sigma, 50 * count * n)
+            kept = stream[(stream >= 0.0) & (stream <= 1.0)][: count * n]
+            assert kept.size == count * n
+            assert np.array_equal(got, kept.reshape(count, n))
 
 
 def test_shares_drop_zero_rows_in_stream_order():
@@ -380,6 +406,27 @@ else:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class _TurnsNegativeBackground(ws.NoiseBackground):
+    """Uniform shares for the first sampling block, then a negative share per row."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def shares(self, count, n, rng):
+        self.calls += 1
+        if self.calls == 1:
+            return ws.UniformBackground().shares(count, n, rng)
+        return np.tile([2.0, -1.0], (count, 1))
+
+
+def test_negative_wealth_is_caught_at_the_end_of_a_later_block():
+    bg = _TurnsNegativeBackground()
+    with pytest.raises(ws.ConservationError, match="negative"):
+        _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), bg, transactions=30_000,
+                seed=0, replicas=1, record_every=1, on_record=lambda i, x: None)
+    assert bg.calls == 2  # the first block passed its checks
 
 
 # ------------------------------------------------------------------ plumbing

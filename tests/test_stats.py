@@ -224,6 +224,20 @@ def test_variance_trajectory_replica_k_runs_seed_plus_k(bg):
     assert np.array_equal(top[1], zero[0])
 
 
+def test_variance_trajectory_matches_stored_states():
+    # At n=1000 a chunk of recorded states holds few of them, so it is reduced
+    # several times; 1001 is off the cadence of 3, which leaves a partial chunk.
+    params = ws.make_agents(1000, 0.8, 5.0)
+    bg = ws.GaussianBackground()
+    for replicas in (1, 3):
+        indices, batch, _ = ws.variance_trajectory(params, bg, 1001, 9, 3, replicas)
+        assert batch.shape == (replicas, indices.size)
+        for k in range(replicas):
+            traj = ws.run_trajectory(params, bg, 1001, 9 + k, 3)
+            assert np.array_equal(indices, traj.indices)
+            assert np.array_equal(batch[k], traj.wealth.var(axis=1))
+
+
 def test_compare_rejects_bad_replicas_and_seed():
     params = ws.make_agents(4, 0.9, 1.0)
     with pytest.raises(ws.ParameterError):
