@@ -66,7 +66,7 @@ _CONFIG_TYPES = {
     "seed": (_is_int, "an integer"),
     "record_every": (lambda v: v is None or _is_int(v), "an integer or null"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bins": (_is_int, "an integer"),
+    "bins": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "threshold": (_is_number, "a number"),
     "self_test": (lambda v: isinstance(v, bool), "true or false"),
 }

@@ -54,9 +54,7 @@ _MAX_REJECTION_SWEEPS = 1000
 
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
 # are sized to this whatever the agent and replica counts.  Sampling streams
-# are split-invariant, so the block size changes no result.  The chunk of
-# recorded states that ``stats.variance_trajectory`` reduces at once is
-# sized to it too.
+# are split-invariant, so the block size changes no result.
 _BLOCK_BYTES = 512 * 1024
 
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
@@ -466,18 +464,20 @@ def _evolve(
     seed: int,
     replicas: int,
     record_every: int,
-    on_record: Callable[[int, np.ndarray], None],
-) -> float:
-    """Step ``replicas`` copies of the exchange law side by side, recording via callback.
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Step ``replicas`` copies of the exchange law side by side and record them.
 
     Replica k draws its shares from seed ``(seed + k) mod 2**64``; ``seed``
     itself must lie in [0, 2**64 - 1].  The ``(replicas, n)`` state is
     recorded at transaction 0, every ``record_every`` transactions, and at
-    the end.  ``on_record`` receives the live state, which the next step
-    overwrites: it must copy or reduce what it keeps.  Returns the max
-    relative drift of any replica's total wealth; raises
-    ``ConservationError`` after a block that ends with negative wealth or in
-    which drift passed tolerance.
+    the end.  ``reduce`` maps a ``(c, replicas, n)`` stack of recorded
+    states to c result rows; the stack lives in share rows the block has
+    spent, which the next block overwrites, so ``reduce`` must not keep a
+    view of it.  Returns the int64 record indices, the result rows stacked
+    in record order, and the max relative drift of any replica's total
+    wealth; raises ``ConservationError`` after a block that ends with
+    negative wealth or in which drift passed tolerance.
     """
     if transactions < 1:
         raise ParameterError(f"transactions must be >= 1, got {transactions}")
@@ -498,7 +498,12 @@ def _evolve(
     max_drift = 0.0
     x = np.tile(x0, (replicas, 1))
     lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
-    on_record(0, x)
+    indices = np.append(np.arange(0, transactions, record_every, dtype=np.int64), transactions)
+    marks = indices.tolist()  # Python ints: the step loop compares one per step
+    first = reduce(x[None])
+    rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
+    rows[0] = first[0]
+    r = 1  # the next record
     # Bytes per block row, float64 but for the masks: the shares (replicas, n)
     # and row sums (replicas,), which the drift check reuses in place; the raw
     # draws of the replica being sampled (normalized in place), their row
@@ -513,12 +518,16 @@ def _evolve(
         todo = min(per_block, transactions - done)
         for k, rng in enumerate(rngs):
             eps[:todo, k] = sample_epsilon_matrix(background, todo, n, rng)
+        c = 0  # records taken in this block
         for j in range(todo):
             _step_kernel(lam_rows, release, x, eps[j], pool)
             x.sum(axis=1, out=sums[j])
-            m = done + j + 1
-            if m % record_every == 0 or m == transactions:
-                on_record(m, x)
+            if done + j + 1 == marks[r + c]:
+                eps[c] = x  # row c <= j is spent
+                c += 1
+        if c:
+            rows[r : r + c] = reduce(eps[:c])
+            r += c
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).
@@ -538,7 +547,7 @@ def _evolve(
                 f"total wealth drifted by {drift[j]:.3e} at transaction {done + j + 1}"
             )
         max_drift = max(max_drift, drift.max())
-    return float(max_drift)
+    return indices, rows, float(max_drift)
 
 
 def run_trajectory(
@@ -559,19 +568,9 @@ def run_trajectory(
         raise ParameterError("need at least one agent")
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
-    indices = wealth = np.empty(0)
-
-    def record(i: int, x: np.ndarray) -> None:
-        nonlocal indices, wealth
-        if i == 0:  # _evolve has checked transactions and record_every by now
-            rows = -(-transactions // record_every) + 1
-            indices = np.empty(rows, dtype=np.int64)
-            wealth = np.empty((rows, x0.size))
-        r = -(-i // record_every)  # the final record may fall between cadence points
-        indices[r] = i
-        wealth[r] = x[0]
-
-    max_drift = _evolve(lam, x0, background, transactions, seed, 1, record_every, record)
+    indices, wealth, max_drift = _evolve(
+        lam, x0, background, transactions, seed, 1, record_every, lambda s: s[:, 0]
+    )
     return Trajectory(
         indices=indices,
         wealth=wealth,

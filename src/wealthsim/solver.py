@@ -200,8 +200,8 @@ def concordance(
 
     Replica k runs with seed base_seed + k (mod 2**64); the ensemble mean
     of x(m) is compared against the closed form evaluated at the
-    background's induced mean share.  The reported deviation is max over m of
-    |mean_x(m) - x_det(m)| / total wealth.
+    background's induced mean share, which replaces ``p.epsilon``.  The
+    reported deviation is max over m of |mean_x(m) - x_det(m)| / total wealth.
     """
     eps_det = induced_epsilon_mean(background, n=2)
     det = TwoEconomyParams(p.lambda_x, p.lambda_y, eps_det, p.x0, p.y0)
@@ -209,19 +209,17 @@ def concordance(
 
     lam = np.array([p.lambda_x, p.lambda_y])
     x0 = np.array([p.x0, p.y0])
-    acc = np.zeros(transactions + 1)
-
-    def record(i: int, x: np.ndarray) -> None:
-        # A running sum in replica order; a pairwise x[:, 0].sum() rounds differently.
-        acc[i] = np.cumsum(x[:, 0])[-1]
-
-    max_drift = _evolve(lam, x0, background, transactions, base_seed, replicas, 1, record)
-    mean_x = acc / replicas
+    # A running sum in replica order; a pairwise x[:, 0].sum() rounds differently.
+    indices, sums, max_drift = _evolve(
+        lam, x0, background, transactions, base_seed, replicas, 1,
+        lambda s: np.cumsum(s[:, :, 0], axis=1)[:, -1],
+    )
+    mean_x = sums / replicas
 
     w = float(x0.sum())
     dev = float(np.abs(mean_x - x_det).max() / w) if w > 0.0 else 0.0
     return ConcordanceReport(
-        transaction_indices=np.arange(transactions + 1, dtype=np.int64),
+        transaction_indices=indices,
         ensemble_mean_x=mean_x,
         deterministic_x=x_det,
         max_relative_deviation=dev,

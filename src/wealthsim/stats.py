@@ -18,7 +18,6 @@ from .core import (
     GaussianBackground,
     NoiseBackground,
     UniformBackground,
-    _BLOCK_BYTES,
     _evolve,
 )
 from .errors import DegenerateInputError, ParameterError
@@ -62,6 +61,8 @@ def build_histogram(
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ParameterError("samples must be non-empty")
+    if not np.isfinite(s).all():
+        raise ParameterError("samples must be finite")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
     if range is None:
@@ -103,6 +104,8 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
     s = np.asarray(samples, dtype=float)
     if s.size < 2:
         raise ParameterError(f"need at least 2 samples, got {s.size}")
+    if not np.isfinite(s).all():
+        raise ParameterError("samples must be finite")
     if s.min() < 0.0:
         raise ParameterError("samples must be non-negative")
     mean = float(s.mean())
@@ -189,28 +192,11 @@ def variance_trajectory(
     """
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
-    indices = variances = states = np.empty(0)
-    first = 0  # record number of states[0]
-
-    def record(i: int, x: np.ndarray) -> None:
-        # States are copied into a chunk of about _BLOCK_BYTES and reduced
-        # together: var over the last axis of a stack gives each state's bits.
-        nonlocal indices, variances, states, first
-        if i == 0:  # _evolve has checked transactions and record_every by now
-            rows = -(-transactions // record_every) + 1
-            indices = np.empty(rows, dtype=np.int64)
-            variances = np.empty((x.shape[0], rows))
-            states = np.empty((min(rows, max(1, _BLOCK_BYTES // x.nbytes)),) + x.shape)
-        r = -(-i // record_every)  # the final record may fall between cadence points
-        indices[r] = i
-        c = r - first + 1
-        states[c - 1] = x
-        if c == len(states) or i == transactions:
-            variances[:, first : r + 1] = states[:c].var(axis=2).T
-            first = r + 1
-
-    drift = _evolve(lam, x0, background, transactions, seed, replicas, record_every, record)
-    return indices, variances, drift
+    indices, variances, drift = _evolve(
+        lam, x0, background, transactions, seed, replicas, record_every, lambda s: s.var(axis=2)
+    )
+    # C order keeps the bits of the per-arm means in compare_backgrounds.
+    return indices, np.ascontiguousarray(variances.T), drift
 
 
 #: Share of recorded points, at the end of a series, whose mean is taken as

@@ -493,6 +493,20 @@ def test_invalid_config_exits_one(tmp_path):
         assert not out.exists(), bad_run
 
 
+def test_bad_bins_fail_before_the_run(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_trajectory", unreachable)
+    for bins in ("0", "-2"):
+        out = tmp_path / f"bins{bins}"
+        assert main(["simulate", "--bins", bins, "--out", str(out)]) == 1
+        assert not out.exists()
+    conf = tmp_path / "bins.json"
+    conf.write_text(json.dumps({"bins": 0}))
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "c")]) == 1
+
+
 def _fields(path):
     header, rows = read_csv(path)
     return header, list(zip(*rows))

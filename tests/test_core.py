@@ -344,6 +344,14 @@ def test_trajectory_recording_cadence():
         assert np.array_equal(traj.wealth[r], traj[r].wealth)
     traj = ws.run_trajectory(params, ws.UniformBackground(), 20, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20]
+    # At n = 1000 a sampling block is 29 rows: cadence 40 leaves blocks with
+    # no record, and at both cadences the final record is off cadence.
+    wide = ws.make_agents(1000, 0.5, 1.0)
+    every = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=1)
+    for cadence in (40, 7):
+        traj = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=cadence)
+        assert traj.indices.tolist() == [*range(0, 100, cadence), 100]
+        assert np.array_equal(traj.wealth, every.wealth[traj.indices])
 
 
 def test_trajectory_matches_repeated_step():
@@ -388,7 +396,7 @@ from wealthsim.core import _evolve
 try:
     _evolve(np.array([1.5, 0.0]), np.array([100.0, 0.0]),
             ConstantBackground(np.array([0.5, 0.5])), transactions=10, seed=0, replicas=1,
-            record_every=1, on_record=lambda i, x: None)
+            record_every=1, reduce=lambda s: s[:, 0])
 except ConservationError:
     pass
 else:
@@ -425,7 +433,7 @@ def test_negative_wealth_is_caught_at_the_end_of_a_later_block():
     bg = _TurnsNegativeBackground()
     with pytest.raises(ws.ConservationError, match="negative"):
         _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), bg, transactions=30_000,
-                seed=0, replicas=1, record_every=1, on_record=lambda i, x: None)
+                seed=0, replicas=1, record_every=1, reduce=lambda s: s[:, 0])
     assert bg.calls == 2  # the first block passed its checks
 
 

@@ -291,6 +291,15 @@ def test_concordance_mean_matches_single_replica_runs():
         for k in range(3)
     )
     assert np.array_equal(rep.ensemble_mean_x, (r0 + r1 + r2) / 3)
+    # 50 replicas x 1000 transactions span several sampling blocks.
+    rep = ws.concordance(REF, bg, replicas=50, transactions=1000, base_seed=17)
+    total = 0.0
+    for k in range(50):
+        total = total + ws.concordance(
+            REF, bg, replicas=1, transactions=1000, base_seed=17 + k
+        ).ensemble_mean_x
+    assert np.array_equal(rep.transaction_indices, np.arange(1001))
+    assert np.array_equal(rep.ensemble_mean_x, total / 50)
 
 
 def test_concordance_rejects_zero_replicas():

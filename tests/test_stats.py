@@ -38,6 +38,9 @@ def test_histogram_errors():
         ws.build_histogram([1.0], bins=2, range=(2.0, 1.0))
     with pytest.raises(ws.ParameterError):
         ws.build_histogram([1.0, 5.0], bins=2, range=(0.0, 1.0))
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ws.ParameterError):
+            ws.build_histogram(bad, bins=3)
 
 
 def test_histogram_merge_matches_concatenation():
@@ -111,6 +114,9 @@ def test_gamma_fit_errors():
         ws.gamma_fit_moments([-1.0, 2.0])
     with pytest.raises(ws.ParameterError):
         ws.gamma_fit_moments([1.0])
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ws.ParameterError):
+            ws.gamma_fit_moments(bad)
 
 
 # -------------------------------------------------------------- equilibrium
@@ -236,6 +242,19 @@ def test_variance_trajectory_matches_stored_states():
             traj = ws.run_trajectory(params, bg, 1001, 9 + k, 3)
             assert np.array_equal(indices, traj.indices)
             assert np.array_equal(batch[k], traj.wealth.var(axis=1))
+
+
+def test_compare_ensemble_sums_replicas_in_order():
+    # The mean over replicas of a row-major (replicas, records) array adds the
+    # rows in order; over a column-major one it sums them pairwise, and at 20
+    # replicas that rounds differently.
+    params = ws.make_agents(10, 0.9, 100.0)
+    res = ws.compare_backgrounds(params, 300, 20, 3, record_every=1)
+    _, rows, _ = ws.variance_trajectory(params, ws.UniformBackground(), 300, 3, 1, 20)
+    total = 0.0
+    for row in rows:
+        total = total + row
+    assert np.array_equal(res.ensemble_variance_uniform, total / 20)
 
 
 def test_compare_rejects_bad_replicas_and_seed():
