@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    BACKGROUNDS,
     CONSERVATION_RTOL,
     GENERATOR_NAME,
     UniformBackground,
@@ -33,7 +35,7 @@ from .core import (
 )
 from .errors import DegenerateInputError, ParameterError
 from .solver import TwoEconomyParams, characteristic_roots, closed_form, concordance, evaluate_series, induced_epsilon_mean
-from .stats import _record_cadence, build_histogram, compare_backgrounds
+from .stats import build_histogram, compare_backgrounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +69,7 @@ _CONFIG_TYPES = {
     "record_every": (lambda v: v is None or _is_int(v), "an integer or null"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
     "bins": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "threshold": (_is_number, "a number"),
+    "threshold": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
     "self_test": (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -103,9 +105,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def effective_record_every(self) -> int:
-        return _record_cadence(self.record_every, self.transactions)
 
 
 def _write_artifacts(
@@ -152,10 +151,11 @@ def cmd_simulate(config: RunConfig) -> int:
     """One trajectory: trajectory.csv, histogram.csv of final wealth, manifest."""
     params = make_agents(config.agents, config.lambdas, config.initial_wealth)
     background = background_from_dict(config.background)
-    cadence = config.effective_record_every()
 
     start = time.perf_counter()
-    traj = run_trajectory(params, background, config.transactions, config.seed, cadence)
+    traj = run_trajectory(
+        params, background, config.transactions, config.seed, config.record_every
+    )
     duration = time.perf_counter() - start
 
     hist = build_histogram(traj.final.wealth, bins=config.bins)
@@ -188,7 +188,7 @@ def cmd_compare(config: RunConfig) -> int:
         config.replicas,
         config.seed,
         background_b=UniformBackground() if config.self_test else None,
-        record_every=config.effective_record_every(),
+        record_every=config.record_every,
     )
     duration = time.perf_counter() - start
 
@@ -335,8 +335,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, background: bool = True) -> 
     sub.add_argument("--record-every", type=int, default=None)
     sub.add_argument("--out", dest="output_dir", type=str, default=None, metavar="DIR")
     if background:
-        sub.add_argument("--background", choices=["uniform", "gaussian", "constant"],
-                         default=None)
+        sub.add_argument("--background", choices=list(BACKGROUNDS), default=None)
         sub.add_argument("--mean", type=float, default=None, help="Gaussian mean")
         sub.add_argument("--sigma", type=float, default=None, help="Gaussian sigma")
         sub.add_argument("--epsilon", type=_float_list, default=None, metavar="LIST",
@@ -392,8 +391,6 @@ def _load_config_file(path: str | None) -> dict:
     return loaded
 
 
-_RUN_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
-
 #: Two-economy name -> (run key, entry).  ``concordance`` flags and config
 #: files with these keys set entry 0 (economy x) or 1 (economy y) of a run
 #: key; a scalar run value is first broadcast to two entries.
@@ -420,28 +417,20 @@ def _set_entries(merged: dict, source: dict) -> None:
 
 
 def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; ``--mean`` etc. edit the background."""
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and (k in _CONFIG_TYPES or k in _ENTRY_KEYS)}
+    if "background" in flags:
+        flags["background"] = {"kind": flags["background"]}
     merged: dict = dict(defaults or {})
-    file_conf = _load_config_file(args.config)
-    merged.update({k: v for k, v in file_conf.items() if k not in _ENTRY_KEYS})
-    _set_entries(merged, file_conf)
-
+    for source in (_load_config_file(args.config), flags):
+        merged.update({k: v for k, v in source.items() if k not in _ENTRY_KEYS})
+        _set_entries(merged, source)
+    shares = {k: getattr(args, k, None) for k in ("mean", "sigma", "epsilon")}
+    shares = {k: v for k, v in shares.items() if v is not None}
     background = merged.get("background", {"kind": "uniform"})
-    if getattr(args, "background", None) is not None:
-        background = {"kind": args.background}
-    flags = {k: getattr(args, k, None) for k in ("mean", "sigma", "epsilon")}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    if flags and isinstance(background, dict):  # RunConfig.from_dict rejects a non-object
-        background = {**background, **flags}
-    merged["background"] = background
-
-    for key in _RUN_KEYS:
-        if key == "background":
-            continue
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    _set_entries(merged, {k: v for k, v in vars(args).items() if v is not None})
+    if shares and isinstance(background, dict):  # RunConfig.from_dict rejects a non-object
+        merged["background"] = {**background, **shares}
     return RunConfig.from_dict(merged)
 
 

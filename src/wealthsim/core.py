@@ -28,6 +28,7 @@ vector.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
@@ -132,7 +133,10 @@ def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
     Entries must lie in [0, 1] and sum to 1 within ``SIMPLEX_ATOL``.
     """
-    eps = np.array(values, dtype=float)
+    try:
+        eps = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"share entries must be numbers, got {values!r}") from exc
     if eps.ndim != 1 or eps.size < 1:
         raise ParameterError("share vector must be a non-empty 1-D vector")
     if not np.all(np.isfinite(eps)) or eps.min() < 0.0 or eps.max() > 1.0:
@@ -169,7 +173,13 @@ class NoiseBackground:
         sq = self.sample_raw(count, n, rng)
         sq *= sq
         totals = sq.sum(axis=1)
+        sweeps = 0
         while not totals.all():
+            if sweeps == _MAX_REJECTION_SWEEPS:
+                raise DegenerateInputError(
+                    f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
+                )
+            sweeps += 1
             keep = totals != 0.0
             extra = self.sample_raw(count - np.count_nonzero(keep), n, rng)
             extra *= extra
@@ -183,7 +193,8 @@ class NoiseBackground:
         return 1.0 / n
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """Serialized descriptor; ``background_from_dict`` rebuilds the background."""
+        return {"kind": self.kind, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -194,9 +205,6 @@ class UniformBackground(NoiseBackground):
 
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.random((count, n))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
 
 
 def _normal_cdf(t: float) -> float:
@@ -261,9 +269,6 @@ class GaussianBackground(NoiseBackground):
             )
         return u.reshape(count, n)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "mean": self.mean, "sigma": self.sigma}
-
 
 @dataclass(frozen=True, eq=False)
 class ConstantBackground(NoiseBackground):
@@ -301,22 +306,24 @@ class ConstantBackground(NoiseBackground):
         return {"kind": self.kind, "epsilon": [float(v) for v in self.epsilon]}
 
 
+#: Background kind -> class: the kinds a config or ``--background`` can name.
+BACKGROUNDS = {cls.kind: cls for cls in (UniformBackground, GaussianBackground, ConstantBackground)}
+
+
 def background_from_dict(d: dict) -> NoiseBackground:
-    """Build a background from its serialized descriptor (see ``to_dict``)."""
+    """Build a background from its serialized descriptor (see ``to_dict``).
+
+    The descriptor's ``kind`` is looked up in ``BACKGROUNDS``; the other keys
+    are the class's constructor arguments.
+    """
     desc = dict(d)
     kind = desc.pop("kind", None)
+    if not (isinstance(kind, str) and kind in BACKGROUNDS):
+        raise ParameterError(f"unknown background kind {kind!r}")
     try:
-        if kind == "uniform":
-            bg = UniformBackground(**desc)
-        elif kind == "gaussian":
-            bg = GaussianBackground(**desc)
-        elif kind == "constant":
-            bg = ConstantBackground(np.asarray(desc.pop("epsilon"), dtype=float), **desc)
-        else:
-            raise ParameterError(f"unknown background kind {kind!r}")
-    except (TypeError, KeyError) as exc:
+        return BACKGROUNDS[kind](**desc)
+    except TypeError as exc:
         raise ParameterError(f"bad background descriptor {d!r}: {exc}") from exc
-    return bg
 
 
 def normalize_epsilon(u: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -463,7 +470,7 @@ def _evolve(
     transactions: int,
     seed: int,
     replicas: int,
-    record_every: int,
+    record_every: int | None,
     reduce: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Step ``replicas`` copies of the exchange law side by side and record them.
@@ -471,16 +478,19 @@ def _evolve(
     Replica k draws its shares from seed ``(seed + k) mod 2**64``; ``seed``
     itself must lie in [0, 2**64 - 1].  The ``(replicas, n)`` state is
     recorded at transaction 0, every ``record_every`` transactions, and at
-    the end.  ``reduce`` maps a ``(c, replicas, n)`` stack of recorded
-    states to c result rows; the stack lives in share rows the block has
-    spent, which the next block overwrites, so ``reduce`` must not keep a
-    view of it.  Returns the int64 record indices, the result rows stacked
+    the end; ``record_every=None`` is ``max(1, transactions // 10_000)``,
+    which keeps about 10,000 records.  ``reduce`` maps a ``(c, replicas, n)``
+    stack of recorded states to c result rows; the stack lives in share rows
+    the block has spent, which the next block overwrites, so ``reduce`` must
+    not keep a view of it.  Returns the int64 record indices, the result rows stacked
     in record order, and the max relative drift of any replica's total
     wealth; raises ``ConservationError`` after a block that ends with
     negative wealth or in which drift passed tolerance.
     """
     if transactions < 1:
         raise ParameterError(f"transactions must be >= 1, got {transactions}")
+    if record_every is None:
+        record_every = max(1, transactions // 10_000)
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     if replicas < 1:
@@ -555,14 +565,15 @@ def run_trajectory(
     background: NoiseBackground,
     transactions: int,
     seed: int,
-    record_every: int = 1,
+    record_every: int | None = 1,
 ) -> Trajectory:
     """Simulate one trajectory; deterministic for a fixed seed.
 
     Each transaction draws a raw vector from the background, normalizes it to
     a share vector (constant backgrounds skip normalization) and applies the
     exchange step.  States are recorded at transaction 0, every
-    ``record_every`` transactions, and at the end.
+    ``record_every`` transactions, and at the end (None: about 10,000
+    records, see ``_evolve``).
     """
     if len(params) < 1:
         raise ParameterError("need at least one agent")

@@ -180,12 +180,13 @@ def variance_trajectory(
     background: NoiseBackground,
     transactions: int,
     seed: int,
-    record_every: int,
+    record_every: int | None,
     replicas: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Cross-agent wealth variance at the recording cadence, per replica.
 
-    Replica k runs with seed ``(seed + k) mod 2**64``.  Returns (indices of
+    Replica k runs with seed ``(seed + k) mod 2**64``; ``record_every=None``
+    keeps about 10,000 records (see ``core._evolve``).  Returns (indices of
     shape ``(records,)``, variances of shape ``(replicas, records)``, max
     conservation drift) without storing full states; the workhorse behind
     background comparisons.
@@ -202,13 +203,6 @@ def variance_trajectory(
 #: Share of recorded points, at the end of a series, whose mean is taken as
 #: the equilibrium variance.
 _TAIL_FRACTION = 0.1
-
-
-def _record_cadence(record_every: int | None, transactions: int) -> int:
-    """``record_every``, or when it is None a cadence keeping about 10,000 records."""
-    if record_every is not None:
-        return record_every
-    return max(1, transactions // 10_000)
 
 
 @dataclass
@@ -261,12 +255,13 @@ def compare_backgrounds(
     """
     bg_a = UniformBackground() if background_a is None else background_a
     bg_b = GaussianBackground() if background_b is None else background_b
-    cadence = _record_cadence(record_every, transactions)
 
     indices, series_a, da = variance_trajectory(
-        params, bg_a, transactions, base_seed, cadence, replicas
+        params, bg_a, transactions, base_seed, record_every, replicas
     )
-    _, series_b, db = variance_trajectory(params, bg_b, transactions, base_seed, cadence, replicas)
+    _, series_b, db = variance_trajectory(
+        params, bg_b, transactions, base_seed, record_every, replicas
+    )
 
     tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
     rep_var_a = [float(v[-tail:].mean()) for v in series_a]

@@ -425,6 +425,9 @@ def test_invalid_config_exits_one(tmp_path):
             {"background": "gaussian"},
             {"lambdas": "0.9"},
             {"initial_wealth": [1.0, None]},
+            {"background": {"kind": "pareto"}},
+            {"background": {"kind": "constant", "epsilon": [0.5, "x"]}},
+            {"background": {"kind": "constant", "epsilon": "abc"}},
         ]
     ):
         typed = tmp_path / f"typed{i}.json"
@@ -437,6 +440,16 @@ def test_invalid_config_exits_one(tmp_path):
     assert main(["concordance", "--config", str(typed), "--out", str(tmp_path / "r")]) == 1
     typed.write_text(json.dumps({"x0": "1.0"}))
     assert main(["concordance", "--config", str(typed), "--out", str(tmp_path / "r")]) == 1
+    # the summary schema needs a threshold >= 0, and JSON has no NaN or Infinity
+    short = ["--transactions", "20", "--replicas", "2"]
+    for i, threshold in enumerate(["-0.5", "nan", "inf"]):
+        out = tmp_path / f"threshold{i}"
+        assert main(["concordance", *short, "--threshold", threshold, "--out", str(out)]) == 1
+        assert not out.exists(), threshold
+        typed.write_text(json.dumps({"threshold": float(threshold)}))
+        out = tmp_path / f"threshold_file{i}"
+        assert main(["concordance", *short, "--config", str(typed), "--out", str(out)]) == 1
+        assert not out.exists(), threshold
     # concordance records every transaction; a thinner cadence is refused
     thin = ["--transactions", "200", "--replicas", "2", "--record-every", "50"]
     assert main(["concordance", *thin, "--out", str(tmp_path / "o")]) == 1

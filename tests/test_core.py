@@ -43,6 +43,9 @@ def test_constant_background_rejects_non_simplex():
         ws.ConstantBackground(np.array([0.6, 0.6]))
     with pytest.raises(ws.ParameterError):
         ws.ConstantBackground(np.array([-0.1, 1.1]))
+    for not_numbers in ([0.5, "x"], "abc"):
+        with pytest.raises(ws.ParameterError):
+            ws.ConstantBackground(not_numbers)
 
 
 def test_gaussian_moments_and_truncation():
@@ -89,6 +92,9 @@ def test_background_round_trip():
         ws.background_from_dict({"kind": "pareto"})
     with pytest.raises(ws.ParameterError):
         ws.background_from_dict({"kind": "uniform", "mean": 0.5})
+    for bad in ({}, {"kind": ["uniform"]}, {"kind": "constant"}):
+        with pytest.raises(ws.ParameterError):
+            ws.background_from_dict(bad)
 
 
 # ------------------------------------------------------------- normalization
@@ -151,6 +157,13 @@ class _CoinBackground(ws.NoiseBackground):
         return rng.integers(0, 2, (count, n)).astype(float)
 
 
+class _ZeroBackground(ws.NoiseBackground):
+    """Raw draws all zero: no row can ever be normalized."""
+
+    def sample_raw(self, count, n, rng):
+        return np.zeros((count, n))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     a=st.integers(1, 40),
@@ -194,6 +207,11 @@ def test_shares_drop_zero_rows_in_stream_order():
         split = np.concatenate((bg.shares(a, 2, rng), bg.shares(60 - a, 2, rng)))
         assert np.array_equal(split, whole)
     assert np.array_equal(whole.sum(axis=1), np.ones(60))
+
+
+def test_shares_give_up_on_a_background_of_zero_rows():
+    with pytest.raises(ws.DegenerateInputError):
+        ws.sample_epsilon_matrix(_ZeroBackground(), 3, 2, ws.make_rng(0))
 
 
 def test_wide_trajectory_samples_in_small_blocks():
@@ -352,6 +370,19 @@ def test_trajectory_recording_cadence():
         traj = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=cadence)
         assert traj.indices.tolist() == [*range(0, 100, cadence), 100]
         assert np.array_equal(traj.wealth, every.wealth[traj.indices])
+    # None is the default cadence max(1, transactions // 10_000): 2 at 25,000.
+    default, two = (
+        ws.run_trajectory(params, ws.UniformBackground(), 25_000, 8, record_every=cadence)
+        for cadence in (None, 2)
+    )
+    assert np.array_equal(default.indices, two.indices)
+    assert np.array_equal(default.wealth, two.wealth)
+    default, two = (
+        ws.variance_trajectory(params, ws.UniformBackground(), 25_000, 8, cadence)
+        for cadence in (None, 2)
+    )
+    assert np.array_equal(default[0], two[0])
+    assert np.array_equal(default[1], two[1])
 
 
 def test_trajectory_matches_repeated_step():
