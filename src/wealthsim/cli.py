@@ -62,7 +62,10 @@ _CONFIG_TYPES = {
     "agents": (_is_int, "an integer"),
     "lambdas": (_is_numbers, "a number or a list of numbers"),
     "initial_wealth": (_is_numbers, "a number or a list of numbers"),
-    "background": (lambda v: isinstance(v, dict), "an object"),
+    "background": (
+        lambda v: isinstance(v, dict) and all(_is_numbers(u) for k, u in v.items() if k != "kind"),
+        "an object whose fields other than kind are numbers or lists of numbers",
+    ),
     "transactions": (_is_int, "an integer"),
     "replicas": (_is_int, "an integer"),
     "seed": (_is_int, "an integer"),

@@ -28,7 +28,6 @@ vector.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
@@ -123,10 +122,6 @@ class WealthState:
         if not np.all(np.isfinite(self.wealth)) or self.wealth.min() < 0.0:
             raise ParameterError("wealth entries must be finite and >= 0")
 
-    @property
-    def total(self) -> float:
-        return float(self.wealth.sum())
-
 
 def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Check the simplex invariants and return the shares as a float array.
@@ -173,28 +168,25 @@ class NoiseBackground:
         sq = self.sample_raw(count, n, rng)
         sq *= sq
         totals = sq.sum(axis=1)
-        sweeps = 0
-        while not totals.all():
-            if sweeps == _MAX_REJECTION_SWEEPS:
-                raise DegenerateInputError(
-                    f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
-                )
-            sweeps += 1
+        for _ in range(_MAX_REJECTION_SWEEPS):
+            if totals.all():
+                break
             keep = totals != 0.0
             extra = self.sample_raw(count - np.count_nonzero(keep), n, rng)
             extra *= extra
             sq = np.concatenate((sq[keep], extra))
             totals = np.concatenate((totals[keep], extra.sum(axis=1)))
+        else:
+            if not totals.all():
+                raise DegenerateInputError(
+                    f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
+                )
         sq /= totals[:, None]
         return sq
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
         return 1.0 / n
-
-    def to_dict(self) -> dict:
-        """Serialized descriptor; ``background_from_dict`` rebuilds the background."""
-        return {"kind": self.kind, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -240,33 +232,29 @@ class GaussianBackground(NoiseBackground):
                 f"below {_MIN_GAUSSIAN_MASS:.3f}; truncation by rejection is not viable"
             )
 
-    def _in_range_draws(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        # Scaling standard_normal draws in place gives the same bits but costs
-        # two more calls, which loses on the many small draws of a run with
-        # many replicas.  The mask is built only on rejection; ``initial``
-        # lets an empty draw pass.
-        u = rng.normal(self.mean, self.sigma, size)
-        if u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0:
-            return u
-        ok = u >= 0.0
-        ok &= u <= 1.0
-        return u[ok]
-
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         # The first count * n in-range draws of the stream, in order: each
-        # sweep draws exactly the missing count, so the result does not
-        # depend on how a caller splits its rows into calls.
+        # sweep keeps the in-range draws and draws exactly the missing count,
+        # so the result does not depend on how a caller splits its rows into
+        # calls.  The mask is built only on rejection; ``initial`` lets an
+        # empty draw pass.  Scaling standard_normal draws in place gives the
+        # same bits but costs two more calls, which loses on the many small
+        # draws of a run with many replicas.
         size = count * n
-        u = self._in_range_draws(size, rng)
+        u = rng.normal(self.mean, self.sigma, size)
         for _ in range(_MAX_REJECTION_SWEEPS):
-            if u.size == size:
+            if u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0:
                 break
-            u = np.concatenate((u, self._in_range_draws(size - u.size, rng)))
-        if u.size != size:
-            raise ParameterError(
-                "rejection sampling into [0, 1] failed to terminate; "
-                "background keeps too little mass in range"
-            )
+            ok = u >= 0.0
+            ok &= u <= 1.0
+            u = u[ok]
+            u = np.concatenate((u, rng.normal(self.mean, self.sigma, size - u.size)))
+        else:
+            if u.min() < 0.0 or u.max() > 1.0:
+                raise ParameterError(
+                    "rejection sampling into [0, 1] failed to terminate; "
+                    "background keeps too little mass in range"
+                )
         return u.reshape(count, n)
 
 
@@ -302,16 +290,13 @@ class ConstantBackground(NoiseBackground):
         self._check_size(n)
         return float(self.epsilon[0])
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "epsilon": [float(v) for v in self.epsilon]}
-
 
 #: Background kind -> class: the kinds a config or ``--background`` can name.
 BACKGROUNDS = {cls.kind: cls for cls in (UniformBackground, GaussianBackground, ConstantBackground)}
 
 
 def background_from_dict(d: dict) -> NoiseBackground:
-    """Build a background from its serialized descriptor (see ``to_dict``).
+    """Build a background from its descriptor, as a config or manifest holds it.
 
     The descriptor's ``kind`` is looked up in ``BACKGROUNDS``; the other keys
     are the class's constructor arguments.

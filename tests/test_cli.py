@@ -428,6 +428,8 @@ def test_invalid_config_exits_one(tmp_path):
             {"background": {"kind": "pareto"}},
             {"background": {"kind": "constant", "epsilon": [0.5, "x"]}},
             {"background": {"kind": "constant", "epsilon": "abc"}},
+            {"background": {"kind": "gaussian", "mean": True, "sigma": 0.5}},
+            {"background": {"kind": "constant", "epsilon": [True, False]}},
         ]
     ):
         typed = tmp_path / f"typed{i}.json"
@@ -450,6 +452,20 @@ def test_invalid_config_exits_one(tmp_path):
         out = tmp_path / f"threshold_file{i}"
         assert main(["concordance", *short, "--config", str(typed), "--out", str(out)]) == 1
         assert not out.exists(), threshold
+    # a config file must hold an object; concordance needs two agents, and an
+    # entry flag needs a two-entry list under it
+    typed.write_text(json.dumps([1, 2]))
+    assert main(["simulate", "--config", str(typed), "--out", str(tmp_path / "l")]) == 1
+    assert not (tmp_path / "l").exists()
+    assert main(["concordance", "--agents", "3", "--out", str(tmp_path / "k")]) == 1
+    assert not (tmp_path / "k").exists()
+    typed.write_text(json.dumps({"lambdas": [0.5, 0.6, 0.7]}))
+    assert main(["concordance", "--config", str(typed), "--lambda-x", "0.5",
+                 "--out", str(tmp_path / "j")]) == 1
+    assert not (tmp_path / "j").exists()
+    assert main(["solve", "--lambda-x", "0.5", "--lambda-y", "0.5", "--epsilon", "0.5",
+                 "--x0", "1", "--y0", "1", "--m-max", "-1", "--out", str(tmp_path / "i")]) == 1
+    assert not (tmp_path / "i").exists()
     # concordance records every transaction; a thinner cadence is refused
     thin = ["--transactions", "200", "--replicas", "2", "--record-every", "50"]
     assert main(["concordance", *thin, "--out", str(tmp_path / "o")]) == 1

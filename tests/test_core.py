@@ -80,14 +80,12 @@ def test_background_parameter_errors():
 
 
 def test_background_round_trip():
-    for bg in (
-        ws.UniformBackground(),
-        ws.GaussianBackground(0.4, 0.1),
-        ws.ConstantBackground(np.array([0.3, 0.7])),
-    ):
-        rebuilt = ws.background_from_dict(bg.to_dict())
-        assert type(rebuilt) is type(bg)
-        assert rebuilt.to_dict() == bg.to_dict()
+    assert ws.background_from_dict({"kind": "uniform"}) == ws.UniformBackground()
+    gaussian = ws.background_from_dict({"kind": "gaussian", "mean": 0.4, "sigma": 0.1})
+    assert gaussian == ws.GaussianBackground(0.4, 0.1)
+    constant = ws.background_from_dict({"kind": "constant", "epsilon": [0.3, 0.7]})
+    assert type(constant) is ws.ConstantBackground
+    assert np.array_equal(constant.epsilon, [0.3, 0.7])
     with pytest.raises(ws.ParameterError):
         ws.background_from_dict({"kind": "pareto"})
     with pytest.raises(ws.ParameterError):
@@ -269,6 +267,13 @@ def test_step_conserves_and_stays_nonnegative():
         total = st.wealth.sum()
         if total > 0:
             assert abs(out.wealth.sum() - total) / total <= ws.CONSERVATION_RTOL
+
+
+def test_step_refuses_shares_that_break_conservation():
+    # 1e-8 of surplus share mints 5e-9 of the total at lam 0.5
+    params = ws.make_agents(2, 0.5, REF_WEALTH)
+    with pytest.raises(ws.ConservationError, match="single step"):
+        ws.step(ref_state(), params, np.array([0.5, 0.5 + 1e-8]))
 
 
 def test_step_length_mismatch():
@@ -466,6 +471,28 @@ def test_negative_wealth_is_caught_at_the_end_of_a_later_block():
         _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), bg, transactions=30_000,
                 seed=0, replicas=1, record_every=1, reduce=lambda s: s[:, 0])
     assert bg.calls == 2  # the first block passed its checks
+
+
+class _MintingBackground(ws.NoiseBackground):
+    """Uniform shares for the first sampling block, then rows summing to 1 + 1e-8."""
+
+    def __init__(self):
+        self.counts = []
+
+    def shares(self, count, n, rng):
+        self.counts.append(count)
+        if len(self.counts) == 1:
+            return ws.UniformBackground().shares(count, n, rng)
+        return np.tile([0.5, 0.5 + 1e-8], (count, 1))
+
+
+def test_drift_is_caught_at_its_first_transaction_in_a_later_block():
+    bg = _MintingBackground()
+    with pytest.raises(ws.ConservationError, match="drifted") as info:
+        _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), bg, transactions=30_000,
+                seed=0, replicas=1, record_every=1, reduce=lambda s: s[:, 0])
+    assert len(bg.counts) == 2  # the first block passed its checks
+    assert str(info.value).endswith(f"at transaction {bg.counts[0] + 1}")
 
 
 # ------------------------------------------------------------------ plumbing
