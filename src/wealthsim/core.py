@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -48,18 +48,23 @@ SIMPLEX_ATOL = 1e-12
 
 MAX_SEED = 2**64 - 1
 
+# What sampling takes as ``rng``: one generator, or one per replica.
+_Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
+
 # Resampling sweeps allowed before a truncated Gaussian is declared to keep
 # too little mass in [0, 1].
 _MAX_REJECTION_SWEEPS = 1000
 
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
-# are sized to this whatever the agent and replica counts.  Sampling streams
-# are split-invariant, so the block size changes no result.
+# are sized to this whatever the agent and replica counts, and one
+# ``sample_epsilon_matrix`` call draws the block for all replicas.  Sampling
+# streams are split-invariant, so the block size changes no result.
 _BLOCK_BYTES = 512 * 1024
 
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
-# 1 + _MAX_REJECTION_SWEEPS tries, so a call for one block of _BLOCK_BYTES // 8
-# draws runs out of sweeps with probability at most 1e-12.
+# 1 + _MAX_REJECTION_SWEEPS tries, whichever replica's stream it is in, so a
+# call for one block of at most _BLOCK_BYTES // 8 draws (all replicas
+# together) runs out of sweeps with probability at most 1e-12.
 _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJECTION_SWEEPS))
 
 
@@ -123,11 +128,19 @@ class WealthState:
             raise ParameterError("wealth entries must be finite and >= 0")
 
 
+def _is_bool(value: object) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Check the simplex invariants and return the shares as a float array.
 
-    Entries must lie in [0, 1] and sum to 1 within ``SIMPLEX_ATOL``.
+    Entries must be numbers (booleans are refused), lie in [0, 1] and sum
+    to 1 within ``SIMPLEX_ATOL``.
     """
+    entries = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if entries.dtype == bool or (entries.dtype == object and any(map(_is_bool, entries.flat))):
+        raise ParameterError(f"share entries must be numbers, not booleans, got {values!r}")
     try:
         eps = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -143,9 +156,21 @@ def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 class NoiseBackground:
-    """Distribution of the raw draws behind each transaction's share vector."""
+    """Distribution of the raw draws behind each transaction's share vector.
+
+    Sampling takes ``rng`` as one ``Generator`` or a sequence of R generators
+    (one per replica), and ``count`` must be a multiple of R: row i of a
+    result comes from generator ``i mod R``, in that generator's stream
+    order, so ``reshape(count // R, R, n)`` is a transaction-major block of R
+    replicas.  One ``Generator`` is the case R = 1.
+    """
 
     kind: ClassVar[str] = ""
+
+    #: True when ``sample_raw`` takes a sequence of generators itself.  A
+    #: background that leaves it False implements ``sample_raw`` for one
+    #: ``Generator``, and ``shares`` calls it once per generator.
+    batched: ClassVar[bool] = False
 
     def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Return a (count, n) array of raw draws, every entry in [0, 1].
@@ -153,21 +178,47 @@ class NoiseBackground:
         The array must be freshly allocated, because ``shares`` normalizes it
         in place.  Draws are taken in stream order, so two consecutive calls
         for ``a`` and ``b`` rows return the rows of one call for ``a + b``:
-        the block sizes of the caller change no draw.
+        the block sizes of the caller change no draw.  ``rng`` is one
+        ``Generator``, or the sequence convention of the class docstring when
+        ``batched`` is True.
         """
         raise NotImplementedError
 
-    def shares(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def shares(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         """Return ``count`` share vectors of length n as the rows of a matrix.
 
-        Raw rows are director-cosine normalized in place.  All-zero raw rows
-        (probability zero for continuous backgrounds) are dropped and the
-        block is topped up from the stream, so the result is the first
-        ``count`` usable rows in stream order and stays split-invariant.
+        Raw rows are director-cosine normalized in place, once for the whole
+        block.  All-zero raw rows (probability zero for continuous
+        backgrounds) are dropped and the replica's rows are topped up from its
+        own stream, so each replica gets the first usable rows of its stream
+        in order and stays split-invariant.
         """
-        sq = self.sample_raw(count, n, rng)
+        rngs = _generators(rng, count)
+        if self.batched:
+            sq = self.sample_raw(count, n, rng)
+        else:
+            sq = _interleave(
+                count, n, rngs, lambda g, out: np.copyto(out, self.sample_raw(len(out), n, g))
+            )
         sq *= sq
         totals = sq.sum(axis=1)
+        if not totals.all():
+            by_replica = sq.reshape(-1, len(rngs), n)
+            totals_by_replica = totals.reshape(-1, len(rngs))
+            for k, g in enumerate(rngs):
+                if not totals_by_replica[:, k].all():
+                    by_replica[:, k], totals_by_replica[:, k] = self._usable_rows(
+                        by_replica[:, k], totals_by_replica[:, k], g
+                    )
+        sq /= totals[:, None]
+        return sq
+
+    def _usable_rows(
+        self, sq: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # One replica's squared rows and their totals with the all-zero rows
+        # dropped and topped up in stream order.
+        count, n = sq.shape
         for _ in range(_MAX_REJECTION_SWEEPS):
             if totals.all():
                 break
@@ -181,12 +232,45 @@ class NoiseBackground:
                 raise DegenerateInputError(
                     f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
                 )
-        sq /= totals[:, None]
-        return sq
+        return sq, totals
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
         return 1.0 / n
+
+
+def _generators(rng: _Rngs, count: int) -> Sequence[np.random.Generator]:
+    # The generators of a sampling call; ``count`` must split evenly among them.
+    rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
+    if not len(rngs) or count % len(rngs):
+        raise ParameterError(
+            f"count ({count}) must be a multiple of the number of generators ({len(rngs)})"
+        )
+    return rngs
+
+
+def _interleave(
+    count: int,
+    n: int,
+    rngs: Sequence[np.random.Generator],
+    fill: Callable[[np.random.Generator, np.ndarray], object],
+) -> np.ndarray:
+    # A (count, n) block whose row i is drawn from generator rngs[i % R]:
+    # ``fill(g, out)`` draws g's next rows into a C-contiguous (rows, n)
+    # array, as numpy's ``out=`` requires.  One generator fills the block
+    # itself; with R > 1, each fills one scratch array in turn, which is
+    # copied into column k of the transaction-major (rows, R, n) view.
+    if len(rngs) == 1:
+        block = np.empty((count, n))
+        fill(rngs[0], block)
+        return block
+    rows = count // len(rngs)
+    block = np.empty((rows, len(rngs), n))
+    scratch = np.empty((rows, n))
+    for k, g in enumerate(rngs):
+        fill(g, scratch)
+        block[:, k] = scratch
+    return block.reshape(count, n)
 
 
 @dataclass(frozen=True)
@@ -194,9 +278,10 @@ class UniformBackground(NoiseBackground):
     """Raw draws i.i.d. uniform on [0, 1]."""
 
     kind: ClassVar[str] = "uniform"
+    batched: ClassVar[bool] = True
 
-    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random((count, n))
+    def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
+        return _interleave(count, n, _generators(rng, count), lambda g, out: g.random(out=out))
 
 
 def _normal_cdf(t: float) -> float:
@@ -217,8 +302,13 @@ class GaussianBackground(NoiseBackground):
     sigma: float = 1.0 / 12.0
 
     kind: ClassVar[str] = "gaussian"
+    batched: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
+        if _is_bool(self.mean) or _is_bool(self.sigma):
+            raise ParameterError(
+                f"mean and sigma must be numbers, not booleans, got {self.mean!r}, {self.sigma!r}"
+            )
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if not math.isfinite(self.mean):
@@ -232,18 +322,28 @@ class GaussianBackground(NoiseBackground):
                 f"below {_MIN_GAUSSIAN_MASS:.3f}; truncation by rejection is not viable"
             )
 
-    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        # The first count * n in-range draws of the stream, in order: each
-        # sweep keeps the in-range draws and draws exactly the missing count,
-        # so the result does not depend on how a caller splits its rows into
-        # calls.  The mask is built only on rejection; ``initial`` lets an
-        # empty draw pass.  Scaling standard_normal draws in place gives the
-        # same bits but costs two more calls, which loses on the many small
-        # draws of a run with many replicas.
-        size = count * n
-        u = rng.normal(self.mean, self.sigma, size)
+    def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
+        # Scaling standard_normal draws gives the bits of rng.normal(mean,
+        # sigma).  The range is checked once for the whole block; only a
+        # replica with a draw out of range is redone, on its own stream.
+        rngs = _generators(rng, count)
+        u = _interleave(count, n, rngs, lambda g, out: g.standard_normal(out=out))
+        u *= self.sigma
+        u += self.mean
+        if u.min(initial=0.0) < 0.0 or u.max(initial=1.0) > 1.0:
+            by_replica = u.reshape(-1, len(rngs), n)
+            for k, g in enumerate(rngs):
+                by_replica[:, k] = self._in_range(by_replica[:, k].ravel(), g).reshape(-1, n)
+        return u
+
+    def _in_range(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # The first u.size in-range draws of one replica's stream, in order:
+        # each sweep keeps the in-range draws and draws exactly the missing
+        # count, so the result does not depend on how a caller splits its
+        # rows into calls.  The mask is built only on rejection.
+        size = u.size
         for _ in range(_MAX_REJECTION_SWEEPS):
-            if u.min(initial=0.0) >= 0.0 and u.max(initial=1.0) <= 1.0:
+            if u.min() >= 0.0 and u.max() <= 1.0:
                 break
             ok = u >= 0.0
             ok &= u <= 1.0
@@ -255,7 +355,7 @@ class GaussianBackground(NoiseBackground):
                     "rejection sampling into [0, 1] failed to terminate; "
                     "background keeps too little mass in range"
                 )
-        return u.reshape(count, n)
+        return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +369,7 @@ class ConstantBackground(NoiseBackground):
     epsilon: np.ndarray
 
     kind: ClassVar[str] = "constant"
+    batched: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
@@ -279,11 +380,11 @@ class ConstantBackground(NoiseBackground):
                 f"constant background has {self.epsilon.size} shares, asked for {n}"
             )
 
-    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         self._check_size(n)
         return np.broadcast_to(self.epsilon, (count, n)).copy()
 
-    def shares(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def shares(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         return self.sample_raw(count, n, rng)
 
     def mean_share(self, n: int) -> float:
@@ -339,11 +440,14 @@ def normalize_epsilon(u: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def sample_epsilon_matrix(
-    background: NoiseBackground, count: int, n: int, rng: np.random.Generator
+    background: NoiseBackground, count: int, n: int, rng: _Rngs
 ) -> np.ndarray:
     """Draw ``count`` share vectors of length n as the rows of a matrix.
 
-    Equivalent to sampling raw vectors and normalizing each row (see
+    ``rng`` is one ``Generator`` or a sequence of R generators, and ``count``
+    must be a multiple of R: row i comes from generator ``i mod R``, so
+    ``reshape(count // R, R, n)`` holds R replicas side by side.  Equivalent
+    to sampling raw vectors and normalizing each row (see
     ``NoiseBackground.shares``); constant backgrounds return their stored
     shares directly.
     """
@@ -351,6 +455,7 @@ def sample_epsilon_matrix(
         raise ParameterError(f"count must be >= 1, got {count}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    _generators(rng, count)
     return background.shares(count, n, rng)
 
 
@@ -499,20 +604,21 @@ def _evolve(
     rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
-    # Bytes per block row, float64 but for the masks: the shares (replicas, n)
-    # and row sums (replicas,), which the drift check reuses in place; the raw
-    # draws of the replica being sampled (normalized in place), their row
-    # total and the drift; two range-check masks of n and one drift mask.  A
-    # rejected Gaussian draw briefly adds a compacted copy of the raw draws.
-    row_bytes = 8 * replicas * (n + 1) + 8 * (n + 2) + 2 * n + 1
+    # Bytes per block row, float64 but for the mask: the shares (replicas, n),
+    # drawn and normalized in place as one block for all replicas; their
+    # totals (replicas,); the row sums (replicas,), which the drift check
+    # reuses in place; one replica's draws (n) before they are copied into the
+    # block when replicas > 1; the drift and its mask.  Only one block is
+    # alive at a time.  A rejected Gaussian draw or an all-zero raw row
+    # briefly adds compacted copies of one replica's rows.
+    row_bytes = 8 * replicas * (n + 2) + (8 * n if replicas > 1 else 0) + 9
     per_block = max(1, _BLOCK_BYTES // row_bytes)
-    eps = np.empty((min(per_block, transactions), replicas, n))
-    sums = np.empty((len(eps), replicas))
+    sums = np.empty((min(per_block, transactions), replicas))
     pool = np.empty((replicas, 1, 1))
     for done in range(0, transactions, per_block):
         todo = min(per_block, transactions - done)
-        for k, rng in enumerate(rngs):
-            eps[:todo, k] = sample_epsilon_matrix(background, todo, n, rng)
+        eps = sample_epsilon_matrix(background, replicas * todo, n, rngs)
+        eps = eps.reshape(todo, replicas, n)
         c = 0  # records taken in this block
         for j in range(todo):
             _step_kernel(lam_rows, release, x, eps[j], pool)
@@ -523,6 +629,7 @@ def _evolve(
         if c:
             rows[r : r + c] = reduce(eps[:c])
             r += c
+        del eps  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wealthsim as ws
+from wealthsim import core
 from wealthsim.core import _evolve
 
 
@@ -93,6 +94,30 @@ def test_background_round_trip():
     for bad in ({}, {"kind": ["uniform"]}, {"kind": "constant"}):
         with pytest.raises(ws.ParameterError):
             ws.background_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "gaussian", "mean": True, "sigma": 0.5},
+        {"kind": "gaussian", "mean": 0.5, "sigma": np.True_},
+        {"kind": "constant", "epsilon": [True, False]},
+        {"kind": "constant", "epsilon": [0.0, True]},
+        {"kind": "constant", "epsilon": np.array([False, True])},
+    ],
+)
+def test_backgrounds_refuse_booleans(descriptor):
+    with pytest.raises(ws.ParameterError, match="boolean"):
+        ws.background_from_dict(descriptor)
+
+
+def test_validate_epsilon_refuses_booleans():
+    for values in ([True, False], (np.False_, 1.0), np.array([True, 0.0], dtype=object)):
+        with pytest.raises(ws.ParameterError, match="boolean"):
+            ws.validate_epsilon(values)
+    # 0 and 1 as numbers are still shares.
+    assert np.array_equal(ws.validate_epsilon([1, 0]), [1.0, 0.0])
+    assert np.array_equal(ws.validate_epsilon(np.array([0.25, 0.75])), [0.25, 0.75])
 
 
 # ------------------------------------------------------------- normalization
@@ -210,6 +235,80 @@ def test_shares_drop_zero_rows_in_stream_order():
 def test_shares_give_up_on_a_background_of_zero_rows():
     with pytest.raises(ws.DegenerateInputError):
         ws.sample_epsilon_matrix(_ZeroBackground(), 3, 2, ws.make_rng(0))
+
+
+# Backgrounds for the replica tests, all at n = 3: the rejecting Gaussian
+# (about 27% of its draws fall outside [0, 1]) and the coin (an eighth of its
+# rows are all zero) make the per-replica top-ups run.
+REPLICA_BACKGROUNDS = {
+    "uniform": ws.UniformBackground(),
+    "gaussian": ws.GaussianBackground(),
+    "gaussian-rejecting": ws.GaussianBackground(0.3, 0.4),
+    "constant": ws.ConstantBackground(np.array([0.1, 0.6, 0.3])),
+    "coin": _CoinBackground(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
+def test_generator_sequence_interleaves_one_generator_calls(name):
+    bg = REPLICA_BACKGROUNDS[name]
+    n = 3
+    seeds = (3, 2**64 - 1, 40)
+    for m in (1, 7, 50):
+        alone = [ws.sample_epsilon_matrix(bg, m, n, ws.make_rng(s)) for s in seeds]
+        rngs = [ws.make_rng(s) for s in seeds]
+        got = ws.sample_epsilon_matrix(bg, len(seeds) * m, n, rngs)
+        assert np.array_equal(got, np.stack(alone, axis=1).reshape(-1, n))
+        # Each generator advanced exactly as its one-generator call did.
+        follow = ws.sample_epsilon_matrix(bg, len(seeds), n, rngs)
+        for k, s in enumerate(seeds):
+            rng = ws.make_rng(s)
+            ws.sample_epsilon_matrix(bg, m, n, rng)
+            assert np.array_equal(follow[k], ws.sample_epsilon_matrix(bg, 1, n, rng)[0])
+    if bg.batched:
+        rngs = [ws.make_rng(s) for s in seeds]
+        raw = bg.sample_raw(len(seeds) * 20, n, rngs)
+        alone = [bg.sample_raw(20, n, ws.make_rng(s)) for s in seeds]
+        assert np.array_equal(raw, np.stack(alone, axis=1).reshape(-1, n))
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
+def test_generator_sequence_must_divide_count(name):
+    bg = REPLICA_BACKGROUNDS[name]
+    n = 3
+    rngs = [ws.make_rng(s) for s in range(3)]
+    for count in (1, 7, 10):
+        with pytest.raises(ws.ParameterError, match="multiple"):
+            ws.sample_epsilon_matrix(bg, count, n, rngs)
+    with pytest.raises(ws.ParameterError, match="multiple"):
+        ws.sample_epsilon_matrix(bg, 3, n, [])
+
+
+@pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
+def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
+    # Blocks of many rows, of a few rows and of one row; row k of a batched
+    # run is the one-replica run at seed + k, wrapping past 2**64 - 1.
+    bg = REPLICA_BACKGROUNDS[name]
+    lam = np.array([0.9, 0.5, 0.75])
+    wealth = np.array([10.0, 200.0, 35.0])
+    seed = ws.MAX_SEED - 1
+
+    def run(replicas, seed):
+        return _evolve(lam, wealth, bg, 700, seed, replicas, 9, lambda s: s.copy())
+
+    by_budget = []
+    for budget in (512 * 1024, 64 * 1024, 4 * 1024, 1):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        by_budget.append([run(1, seed), run(3, seed)])
+    for runs in by_budget[1:]:
+        for (indices, rows, drift), (ref_indices, ref_rows, ref_drift) in zip(runs, by_budget[0]):
+            assert np.array_equal(indices, ref_indices)
+            assert np.array_equal(rows, ref_rows)
+            assert drift == ref_drift
+    indices, rows, _ = by_budget[0][1]
+    assert rows.shape == (indices.size, 3, 3)
+    for k in range(3):
+        assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
 
 
 def test_wide_trajectory_samples_in_small_blocks():
