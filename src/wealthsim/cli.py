@@ -226,9 +226,6 @@ def cmd_compare(config: RunConfig) -> int:
 
 def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
     """Deterministic closed form: solution.csv rows (m, x_m, y_m) + roots.json."""
-    if m_max < 0:
-        raise ParameterError(f"m-max must be >= 0, got {m_max}")
-
     start = time.perf_counter()
     sol = closed_form(p)
     roots = characteristic_roots(p)

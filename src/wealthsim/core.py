@@ -70,7 +70,7 @@ _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJ
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer."""
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed <= MAX_SEED:
         raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
@@ -132,6 +132,13 @@ def _is_bool(value: object) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def _integer(value: object, what: str) -> int:
+    # ``value`` as a Python int; booleans, floats and strings are refused.
+    if _is_bool(value) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Check the simplex invariants and return the shares as a float array.
 
@@ -162,25 +169,18 @@ class NoiseBackground:
     (one per replica), and ``count`` must be a multiple of R: row i of a
     result comes from generator ``i mod R``, in that generator's stream
     order, so ``reshape(count // R, R, n)`` is a transaction-major block of R
-    replicas.  One ``Generator`` is the case R = 1.
+    replicas.  One ``Generator`` is the case R = 1.  Each replica's rows are
+    the next rows of its own stream, so two consecutive calls for ``a`` and
+    ``b`` rows per replica return the rows of one call for ``a + b``: the
+    block sizes of the caller change no draw.
     """
 
     kind: ClassVar[str] = ""
 
-    #: True when ``sample_raw`` takes a sequence of generators itself.  A
-    #: background that leaves it False implements ``sample_raw`` for one
-    #: ``Generator``, and ``shares`` calls it once per generator.
-    batched: ClassVar[bool] = False
+    def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
+        """Return a freshly allocated (count, n) array of raw draws in [0, 1].
 
-    def sample_raw(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Return a (count, n) array of raw draws, every entry in [0, 1].
-
-        The array must be freshly allocated, because ``shares`` normalizes it
-        in place.  Draws are taken in stream order, so two consecutive calls
-        for ``a`` and ``b`` rows return the rows of one call for ``a + b``:
-        the block sizes of the caller change no draw.  ``rng`` is one
-        ``Generator``, or the sequence convention of the class docstring when
-        ``batched`` is True.
+        ``shares`` normalizes the array in place.
         """
         raise NotImplementedError
 
@@ -193,46 +193,24 @@ class NoiseBackground:
         own stream, so each replica gets the first usable rows of its stream
         in order and stays split-invariant.
         """
-        rngs = _generators(rng, count)
-        if self.batched:
-            sq = self.sample_raw(count, n, rng)
-        else:
-            sq = _interleave(
-                count, n, rngs, lambda g, out: np.copyto(out, self.sample_raw(len(out), n, g))
-            )
+        sq = self.sample_raw(count, n, rng)
         sq *= sq
         totals = sq.sum(axis=1)
         if not totals.all():
+            rngs = _generators(rng, count)
             by_replica = sq.reshape(-1, len(rngs), n)
-            totals_by_replica = totals.reshape(-1, len(rngs))
             for k, g in enumerate(rngs):
-                if not totals_by_replica[:, k].all():
-                    by_replica[:, k], totals_by_replica[:, k] = self._usable_rows(
-                        by_replica[:, k], totals_by_replica[:, k], g
-                    )
+                by_replica[:, k] = _top_up(
+                    by_replica[:, k],
+                    lambda rows: rows.any(axis=1),
+                    lambda m: np.square(self.sample_raw(m, n, g)),
+                    DegenerateInputError(
+                        f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
+                    ),
+                )
+            totals = sq.sum(axis=1)
         sq /= totals[:, None]
         return sq
-
-    def _usable_rows(
-        self, sq: np.ndarray, totals: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # One replica's squared rows and their totals with the all-zero rows
-        # dropped and topped up in stream order.
-        count, n = sq.shape
-        for _ in range(_MAX_REJECTION_SWEEPS):
-            if totals.all():
-                break
-            keep = totals != 0.0
-            extra = self.sample_raw(count - np.count_nonzero(keep), n, rng)
-            extra *= extra
-            sq = np.concatenate((sq[keep], extra))
-            totals = np.concatenate((totals[keep], extra.sum(axis=1)))
-        else:
-            if not totals.all():
-                raise DegenerateInputError(
-                    f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
-                )
-        return sq, totals
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
@@ -247,6 +225,26 @@ def _generators(rng: _Rngs, count: int) -> Sequence[np.random.Generator]:
             f"count ({count}) must be a multiple of the number of generators ({len(rngs)})"
         )
     return rngs
+
+
+def _top_up(
+    items: np.ndarray,
+    usable: Callable[[np.ndarray], np.ndarray],
+    draw: Callable[[int], np.ndarray],
+    error: Exception,
+) -> np.ndarray:
+    # The first len(items) usable items of one replica's stream, in order:
+    # each sweep keeps the items ``usable`` marks and appends
+    # ``draw(missing)``, the stream's next items, so the result does not
+    # depend on how a caller splits its rows into calls.
+    for _ in range(_MAX_REJECTION_SWEEPS):
+        keep = usable(items)
+        if keep.all():
+            return items
+        items = np.concatenate((items[keep], draw(len(keep) - np.count_nonzero(keep))))
+    if not usable(items).all():
+        raise error
+    return items
 
 
 def _interleave(
@@ -278,7 +276,6 @@ class UniformBackground(NoiseBackground):
     """Raw draws i.i.d. uniform on [0, 1]."""
 
     kind: ClassVar[str] = "uniform"
-    batched: ClassVar[bool] = True
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         return _interleave(count, n, _generators(rng, count), lambda g, out: g.random(out=out))
@@ -302,7 +299,6 @@ class GaussianBackground(NoiseBackground):
     sigma: float = 1.0 / 12.0
 
     kind: ClassVar[str] = "gaussian"
-    batched: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if _is_bool(self.mean) or _is_bool(self.sigma):
@@ -333,28 +329,15 @@ class GaussianBackground(NoiseBackground):
         if u.min(initial=0.0) < 0.0 or u.max(initial=1.0) > 1.0:
             by_replica = u.reshape(-1, len(rngs), n)
             for k, g in enumerate(rngs):
-                by_replica[:, k] = self._in_range(by_replica[:, k].ravel(), g).reshape(-1, n)
-        return u
-
-    def _in_range(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # The first u.size in-range draws of one replica's stream, in order:
-        # each sweep keeps the in-range draws and draws exactly the missing
-        # count, so the result does not depend on how a caller splits its
-        # rows into calls.  The mask is built only on rejection.
-        size = u.size
-        for _ in range(_MAX_REJECTION_SWEEPS):
-            if u.min() >= 0.0 and u.max() <= 1.0:
-                break
-            ok = u >= 0.0
-            ok &= u <= 1.0
-            u = u[ok]
-            u = np.concatenate((u, rng.normal(self.mean, self.sigma, size - u.size)))
-        else:
-            if u.min() < 0.0 or u.max() > 1.0:
-                raise ParameterError(
-                    "rejection sampling into [0, 1] failed to terminate; "
-                    "background keeps too little mass in range"
-                )
+                by_replica[:, k] = _top_up(
+                    by_replica[:, k].ravel(),
+                    lambda v: (v >= 0.0) & (v <= 1.0),
+                    lambda m: g.normal(self.mean, self.sigma, m),
+                    ParameterError(
+                        "rejection sampling into [0, 1] failed to terminate; "
+                        "background keeps too little mass in range"
+                    ),
+                ).reshape(-1, n)
         return u
 
 
@@ -369,7 +352,6 @@ class ConstantBackground(NoiseBackground):
     epsilon: np.ndarray
 
     kind: ClassVar[str] = "constant"
-    batched: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
@@ -444,10 +426,8 @@ def sample_epsilon_matrix(
 ) -> np.ndarray:
     """Draw ``count`` share vectors of length n as the rows of a matrix.
 
-    ``rng`` is one ``Generator`` or a sequence of R generators, and ``count``
-    must be a multiple of R: row i comes from generator ``i mod R``, so
-    ``reshape(count // R, R, n)`` holds R replicas side by side.  Equivalent
-    to sampling raw vectors and normalizing each row (see
+    ``rng`` follows the generator convention of ``NoiseBackground``.
+    Equivalent to sampling raw vectors and normalizing each row (see
     ``NoiseBackground.shares``); constant backgrounds return their stored
     shares directly.
     """
@@ -585,10 +565,12 @@ def _evolve(
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    rngs = [make_rng(seed)] + [make_rng((seed + k) & MAX_SEED) for k in range(1, replicas)]
+    rngs = [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]
     x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = x0.size
+    if n < 1:
+        raise ParameterError("need at least one agent")
     release = 1.0 - lam
     with np.errstate(over="ignore"):
         total = float(x0.sum())
@@ -667,8 +649,6 @@ def run_trajectory(
     ``record_every`` transactions, and at the end (None: about 10,000
     records, see ``_evolve``).
     """
-    if len(params) < 1:
-        raise ParameterError("need at least one agent")
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
     indices, wealth, max_drift = _evolve(

@@ -20,8 +20,8 @@ transient,
 with x* = W e (1-ly) / D, y* = W - x*, D = (1-e)(1-lx) + e(1-ly), W = x0+y0.
 D == 0 means no wealth is ever exchanged (r == 1) and every state is fixed.
 
-Systems of more than two agents have no closed form here and are handled by
-direct matrix iteration only.
+Systems of more than two agents have no closed form here; they run through
+``run_trajectory`` with a ``ConstantBackground``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSERVATION_RTOL, NoiseBackground, _evolve
+from .core import CONSERVATION_RTOL, NoiseBackground, _evolve, _integer
 from .errors import ConservationError, ParameterError
 
 
@@ -156,7 +156,8 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
 
 
 def evaluate_series(sol: ClosedFormSolution, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized trajectory for m = 0..m_max."""
+    """Vectorized trajectory for m = 0..m_max; ``m_max`` must be an integer."""
+    m_max = _integer(m_max, "m_max")
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
     powers = sol.decay_root ** np.arange(m_max + 1, dtype=float)

@@ -177,7 +177,7 @@ class _CoinBackground(ws.NoiseBackground):
     """Raw draws 0 or 1: two agents get an all-zero raw row a quarter of the time."""
 
     def sample_raw(self, count, n, rng):
-        return rng.integers(0, 2, (count, n)).astype(float)
+        return (ws.UniformBackground().sample_raw(count, n, rng) >= 0.5).astype(float)
 
 
 class _ZeroBackground(ws.NoiseBackground):
@@ -237,6 +237,22 @@ def test_shares_give_up_on_a_background_of_zero_rows():
         ws.sample_epsilon_matrix(_ZeroBackground(), 3, 2, ws.make_rng(0))
 
 
+class _FarGenerator:
+    """Stands in for a generator whose normal draws all lie 12 sigma above the mean."""
+
+    def standard_normal(self, out):
+        out.fill(12.0)
+        return out
+
+    def normal(self, mean, sigma, size):
+        return np.full(size, mean + 12.0 * sigma)
+
+
+def test_gaussian_gives_up_on_a_stream_out_of_range():
+    with pytest.raises(ws.ParameterError, match="failed to terminate"):
+        ws.GaussianBackground().sample_raw(2, 3, [_FarGenerator()])
+
+
 # Backgrounds for the replica tests, all at n = 3: the rejecting Gaussian
 # (about 27% of its draws fall outside [0, 1]) and the coin (an eighth of its
 # rows are all zero) make the per-replica top-ups run.
@@ -265,11 +281,10 @@ def test_generator_sequence_interleaves_one_generator_calls(name):
             rng = ws.make_rng(s)
             ws.sample_epsilon_matrix(bg, m, n, rng)
             assert np.array_equal(follow[k], ws.sample_epsilon_matrix(bg, 1, n, rng)[0])
-    if bg.batched:
-        rngs = [ws.make_rng(s) for s in seeds]
-        raw = bg.sample_raw(len(seeds) * 20, n, rngs)
-        alone = [bg.sample_raw(20, n, ws.make_rng(s)) for s in seeds]
-        assert np.array_equal(raw, np.stack(alone, axis=1).reshape(-1, n))
+    rngs = [ws.make_rng(s) for s in seeds]
+    raw = bg.sample_raw(len(seeds) * 20, n, rngs)
+    alone = [bg.sample_raw(20, n, ws.make_rng(s)) for s in seeds]
+    assert np.array_equal(raw, np.stack(alone, axis=1).reshape(-1, n))
 
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
@@ -286,8 +301,8 @@ def test_generator_sequence_must_divide_count(name):
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
 def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
-    # Blocks of many rows, of a few rows and of one row; row k of a batched
-    # run is the one-replica run at seed + k, wrapping past 2**64 - 1.
+    # Blocks of many rows, of a few rows and of one row; row k of a
+    # multi-replica run is the one-replica run at seed + k, wrapping past 2**64 - 1.
     bg = REPLICA_BACKGROUNDS[name]
     lam = np.array([0.9, 0.5, 0.75])
     wealth = np.array([10.0, 200.0, 35.0])
@@ -621,3 +636,18 @@ def test_seed_validation():
     with pytest.raises(ws.ParameterError):
         ws.make_rng(2**64)
     ws.make_rng(2**64 - 1)
+    for seed in (1.5, 1.0, True, np.bool_(False), "7", None):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.make_rng(seed)
+    with pytest.raises(ws.ParameterError, match="integer"):
+        ws.run_trajectory(ref_params(), ws.UniformBackground(), 3, 1.5)
+    first = ws.make_rng(7).random(4)
+    for seed in (np.int64(7), np.uint64(7)):
+        assert np.array_equal(ws.make_rng(seed).random(4), first)
+    # Replica seeds wrap past 2**64 - 1 for numpy integers as for Python ints.
+    def rows(seed):
+        lam, wealth = np.array([0.9, 0.5]), np.array([1.0, 2.0])
+        return _evolve(lam, wealth, ws.UniformBackground(), 5, seed, 2, 1, lambda s: s.copy())[1]
+
+    for seed, as_numpy in ((ws.MAX_SEED, np.uint64), (7, np.int64)):
+        assert np.array_equal(rows(as_numpy(seed)), rows(seed))

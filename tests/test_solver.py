@@ -235,6 +235,11 @@ def test_evaluate_rejects_negative_m():
         ws.evaluate(sol, -1)
     with pytest.raises(ws.ParameterError):
         ws.evaluate_series(sol, -1)
+    for m_max in (2.5, 3.0, True, "3"):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.evaluate_series(sol, m_max)
+    xs, _ = ws.evaluate_series(sol, np.int64(3))
+    assert xs.size == 4
 
 
 def test_params_validation():

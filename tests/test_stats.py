@@ -1,6 +1,7 @@
 """Histograms, Gamma fits, convergence detection, background comparison."""
 
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,17 @@ def test_compare_rejects_bad_replicas_and_seed():
         ws.compare_backgrounds(params, 10, 0, 1)
     with pytest.raises(ws.ParameterError):
         ws.compare_backgrounds(params, 10, 2, -1)
+
+
+def test_runs_without_agents_raise_before_any_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ws.ParameterError, match="at least one agent"):
+            ws.variance_trajectory([], ws.UniformBackground(), 10, 1, 1)
+        with pytest.raises(ws.ParameterError, match="at least one agent"):
+            ws.compare_backgrounds([], 10, 1, 1)
+        with pytest.raises(ws.ParameterError, match="at least one agent"):
+            ws.run_trajectory([], ws.UniformBackground(), 10, 1)
 
 
 def test_compare_self_test_is_exactly_zero():
