@@ -29,6 +29,9 @@ from .core import (
     CONSERVATION_RTOL,
     GENERATOR_NAME,
     UniformBackground,
+    _integer,
+    _is_bool,
+    _number,
     background_from_dict,
     make_agents,
     run_trajectory,
@@ -43,37 +46,16 @@ EXIT_THRESHOLD = 2
 EXIT_IO = 3
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_numbers(v) -> bool:
-    return _is_number(v) or (isinstance(v, list) and all(_is_number(u) for u in v))
-
-
-#: Run config key -> (type check, what a value must be).  Config files are
-#: outside input; a mistyped value would otherwise crash the run or be
-#: coerced silently while the manifest echoes it as written.
+#: Run config key -> (check, what a value must be) for the keys that some
+#: command ignores or reads only after its run; every command hands the other
+#: keys to a library check first.  A check raises ParameterError or returns False.
 _CONFIG_TYPES = {
-    "agents": (_is_int, "an integer"),
-    "lambdas": (_is_numbers, "a number or a list of numbers"),
-    "initial_wealth": (_is_numbers, "a number or a list of numbers"),
-    "background": (
-        lambda v: isinstance(v, dict) and all(_is_numbers(u) for k, u in v.items() if k != "kind"),
-        "an object whose fields other than kind are numbers or lists of numbers",
-    ),
-    "transactions": (_is_int, "an integer"),
-    "replicas": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "record_every": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "background": (background_from_dict, "a background descriptor"),
+    "replicas": (lambda v: _integer(v, "replicas"), "an integer"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bins": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "threshold": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
-    "self_test": (lambda v: isinstance(v, bool), "true or false"),
+    "bins": (lambda v: _integer(v, "bins") >= 1, "an integer >= 1"),
+    "threshold": (lambda v: 0 <= _number(v, "threshold") < math.inf, "a finite number >= 0"),
+    "self_test": (_is_bool, "true or false"),
 }
 
 
@@ -96,14 +78,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - cls.__dataclass_fields__.keys()
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            check, kind = _CONFIG_TYPES[key]
-            if not check(value):
-                raise ParameterError(f"config key {key!r} must be {kind}, got {value!r}")
+        for key, (check, kind) in _CONFIG_TYPES.items():
+            if key in d and check(d[key]) is False:
+                raise ParameterError(f"config key {key!r} must be {kind}, got {d[key]!r}")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -257,9 +237,9 @@ def cmd_concordance(config: RunConfig) -> int:
     Agent 0 is economy x and agent 1 economy y.  Every transaction is
     recorded, so ``record_every`` must be null or 1.
     """
-    if config.agents != 2:
+    if _integer(config.agents, "agents") != 2:
         raise ParameterError(f"concordance requires agents = 2, got {config.agents}")
-    if config.record_every not in (None, 1):
+    if config.record_every is not None and _integer(config.record_every, "record_every") != 1:
         raise ParameterError(
             f"concordance records every transaction; record_every must be null or 1, "
             f"got {config.record_every}"
@@ -393,7 +373,7 @@ def _load_config_file(path: str | None) -> dict:
 
 #: Two-economy name -> (run key, entry).  ``concordance`` flags and config
 #: files with these keys set entry 0 (economy x) or 1 (economy y) of a run
-#: key; a scalar run value is first broadcast to two entries.
+#: key; a run value that is not a list is first broadcast to two entries.
 _ENTRY_KEYS = {
     "lambda_x": ("lambdas", 0),
     "lambda_y": ("lambdas", 1),
@@ -406,12 +386,10 @@ def _set_entries(merged: dict, source: dict) -> None:
     for key, (run_key, entry) in _ENTRY_KEYS.items():
         if key not in source:
             continue
-        if not _is_number(source[key]):
-            raise ParameterError(f"config key {key!r} must be a number, got {source[key]!r}")
         current = merged.get(run_key, getattr(RunConfig, run_key))
-        if _is_number(current):
+        if not isinstance(current, list):
             current = [current, current]
-        if not (isinstance(current, list) and len(current) == 2):
+        if len(current) != 2:
             raise ParameterError(f"{key!r} sets entry {entry} of {run_key}, got {current!r}")
         merged[run_key] = [source[key] if i == entry else v for i, v in enumerate(current)]
 
@@ -419,7 +397,7 @@ def _set_entries(merged: dict, source: dict) -> None:
 def _merge_run_config(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
     """defaults < config file < explicit flags; ``--mean`` etc. edit the background."""
     flags = {k: v for k, v in vars(args).items()
-             if v is not None and (k in _CONFIG_TYPES or k in _ENTRY_KEYS)}
+             if v is not None and (k in RunConfig.__dataclass_fields__ or k in _ENTRY_KEYS)}
     if "background" in flags:
         flags["background"] = {"kind": flags["background"]}
     merged: dict = dict(defaults or {})

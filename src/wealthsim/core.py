@@ -78,12 +78,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class AgentParams:
-    """Per-agent saving propensity ``lam`` in [0, 1] and starting wealth."""
+    """Per-agent saving propensity ``lam`` in [0, 1] and starting wealth, as floats."""
 
     lam: float
     initial_wealth: float
 
     def __post_init__(self) -> None:
+        for name, what in (("lam", "saving propensity"), ("initial_wealth", "initial wealth")):
+            object.__setattr__(self, name, _number(getattr(self, name), what))
         if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise ParameterError(f"saving propensity must be in [0, 1], got {self.lam}")
         if not (math.isfinite(self.initial_wealth) and self.initial_wealth >= 0.0):
@@ -96,13 +98,12 @@ def make_agents(
     initial_wealth: float | Sequence[float],
 ) -> list[AgentParams]:
     """Build an agent list, broadcasting scalar ``lam``/``initial_wealth`` to n."""
+    n = _integer(n, "agent count")
     if n < 1:
         raise ParameterError(f"agent count must be >= 1, got {n}")
-    lams = [float(lam)] * n if np.isscalar(lam) else [float(v) for v in lam]
-    wealth = (
-        [float(initial_wealth)] * n
-        if np.isscalar(initial_wealth)
-        else [float(v) for v in initial_wealth]
+    # None is broadcast like a scalar, so that AgentParams refuses it.
+    lams, wealth = (
+        [v] * n if np.isscalar(v) or v is None else list(v) for v in (lam, initial_wealth)
     )
     if len(lams) != n or len(wealth) != n:
         raise ParameterError(
@@ -119,6 +120,7 @@ class WealthState:
     wealth: np.ndarray
 
     def __post_init__(self) -> None:
+        self.transaction_index = _integer(self.transaction_index, "transaction index")
         self.wealth = np.asarray(self.wealth, dtype=float)
         if self.wealth.ndim != 1 or self.wealth.size < 1:
             raise ParameterError("wealth must be a non-empty 1-D vector")
@@ -137,6 +139,14 @@ def _integer(value: object, what: str) -> int:
     if _is_bool(value) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value: object, what: str) -> float:
+    # ``value`` as a Python float: Python and numpy reals pass; booleans,
+    # strings and None are refused.
+    if _is_bool(value) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be a number, not a boolean or string, got {value!r}")
+    return float(value)
 
 
 def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -301,10 +311,8 @@ class GaussianBackground(NoiseBackground):
     kind: ClassVar[str] = "gaussian"
 
     def __post_init__(self) -> None:
-        if _is_bool(self.mean) or _is_bool(self.sigma):
-            raise ParameterError(
-                f"mean and sigma must be numbers, not booleans, got {self.mean!r}, {self.sigma!r}"
-            )
+        for name in ("mean", "sigma"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if not math.isfinite(self.mean):
@@ -384,6 +392,8 @@ def background_from_dict(d: dict) -> NoiseBackground:
     The descriptor's ``kind`` is looked up in ``BACKGROUNDS``; the other keys
     are the class's constructor arguments.
     """
+    if not isinstance(d, dict):
+        raise ParameterError(f"background descriptor must be an object, got {d!r}")
     desc = dict(d)
     kind = desc.pop("kind", None)
     if not (isinstance(kind, str) and kind in BACKGROUNDS):
@@ -431,6 +441,7 @@ def sample_epsilon_matrix(
     ``NoiseBackground.shares``); constant backgrounds return their stored
     shares directly.
     """
+    count, n = _integer(count, "count"), _integer(n, "n")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if n < 1:
@@ -496,6 +507,7 @@ def pairwise_delta(
     n = x.size
     if len(params) != n or len(epsilon) != n:
         raise ParameterError("state, params and shares must have equal length")
+    a, b = _integer(a, "agent index"), _integer(b, "agent index")
     if not (0 <= a < n) or not (0 <= b < n):
         raise ParameterError(f"agent indices must be in [0, {n}), got ({a}, {b})")
     eps = np.asarray(epsilon, dtype=float)
@@ -523,7 +535,7 @@ class Trajectory:
         return self.indices.size
 
     def __getitem__(self, i: int) -> WealthState:
-        return WealthState(int(self.indices[i]), self.wealth[i])
+        return WealthState(self.indices[i], self.wealth[i])
 
     def __iter__(self) -> Iterator[WealthState]:
         return (self[r] for r in range(len(self)))
@@ -557,12 +569,15 @@ def _evolve(
     wealth; raises ``ConservationError`` after a block that ends with
     negative wealth or in which drift passed tolerance.
     """
+    transactions = _integer(transactions, "transactions")
     if transactions < 1:
         raise ParameterError(f"transactions must be >= 1, got {transactions}")
     if record_every is None:
         record_every = max(1, transactions // 10_000)
+    record_every = _integer(record_every, "record_every")
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
+    replicas = _integer(replicas, "replicas")
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     rngs = [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSERVATION_RTOL, NoiseBackground, _evolve, _integer
+from .core import CONSERVATION_RTOL, NoiseBackground, _evolve, _integer, _number
 from .errors import ConservationError, ParameterError
 
 
@@ -47,11 +47,11 @@ class TwoEconomyParams:
 
     def __post_init__(self) -> None:
         for name in ("lambda_x", "lambda_y", "epsilon"):
-            v = getattr(self, name)
+            v = _number(getattr(self, name), name)
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ParameterError(f"{name} must be in [0, 1], got {v}")
         for name in ("x0", "y0"):
-            v = getattr(self, name)
+            v = _number(getattr(self, name), name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be >= 0, got {v}")
         if not math.isfinite(self.total):
@@ -143,7 +143,8 @@ def closed_form(p: TwoEconomyParams) -> ClosedFormSolution:
 
 
 def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
-    """Trajectory value (x(m), y(m)) after m transactions."""
+    """Trajectory value (x(m), y(m)) after m transactions; ``m`` must be an integer."""
+    m = _integer(m, "m")
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     t = sol.decay_root ** m
@@ -171,6 +172,7 @@ def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
     are exchangeable and sum to one: each has mean exactly 1/n regardless of
     the draw distribution.  A constant background's share is its stored value.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     return background.mean_share(n)

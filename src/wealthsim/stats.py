@@ -19,6 +19,7 @@ from .core import (
     NoiseBackground,
     UniformBackground,
     _evolve,
+    _integer,
 )
 from .errors import DegenerateInputError, ParameterError
 
@@ -63,6 +64,7 @@ def build_histogram(
         raise ParameterError("samples must be non-empty")
     if not np.isfinite(s).all():
         raise ParameterError("samples must be finite")
+    bins = _integer(bins, "bins")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
     if range is None:
@@ -144,6 +146,7 @@ def detect_equilibrium(
     arr = np.asarray(variance_series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ParameterError("variance series must be a non-empty sequence of (index, value)")
+    window = _integer(window, "window")
     if window < 2:
         raise ParameterError(f"window must be >= 2, got {window}")
     if not tolerance > 0.0:

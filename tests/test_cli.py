@@ -375,8 +375,45 @@ def test_concordance_old_style_config_runs(tmp_path):
     assert (config["lambdas"], config["initial_wealth"]) == (0.9, 100.0)
 
 
-def test_config_types_cover_run_config():
-    assert set(cli._CONFIG_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+#: Config key -> mistyped or out-of-range values: every run key and every
+#: two-economy entry key.  Each command must refuse each value before its run,
+#: including the keys it ignores.
+MISTYPED = {
+    "agents": [None, True, "2", 2.0, 2.5, [2]],
+    "lambdas": [None, True, "0.9", [0.9, "x"], [0.9, None], [0.9, False], {"x": 0.9}],
+    "initial_wealth": [None, False, "100", [100, "x"], [100, None]],
+    "background": [
+        None, True, "gaussian", [0.9, "x"], {"kind": "gaussian", "mean": "x"},
+        {"kind": "gaussian", "mean": None}, {"kind": "gaussian", "sigma": True},
+        {"kind": "constant", "epsilon": [0.5, "x"]}, {"kind": "pareto"},
+    ],
+    "transactions": [None, True, "5", 5.0, 5.5],
+    "replicas": [None, True, "2", 2.0, 2.5],
+    "seed": [None, True, "1", 1.0, 1.5],
+    "record_every": [True, "1", 1.0, 2.5],
+    "output_dir": [None, True, 5, ["out"]],
+    "bins": [None, True, "5", 5.0, 0],
+    "threshold": [None, True, "0.1", -1, [0.1]],
+    "self_test": [None, 1, "true"],
+    "lambda_x": [None, True, "0.5"],
+    "lambda_y": [None, False, [0.5]],
+    "x0": [None, True, "1.0"],
+    "y0": [None, False, {"y": 1.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "key", [*(f.name for f in dataclasses.fields(RunConfig)), *cli._ENTRY_KEYS]
+)
+def test_mistyped_config_values_exit_one(key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # output_dir defaults to "out" under the cwd
+    conf = tmp_path / "run.json"
+    for command in ("simulate", "compare", "concordance"):
+        for value in MISTYPED[key]:
+            conf.write_text(json.dumps({"agents": 2, "transactions": 5, "replicas": 2,
+                                        key: value}))
+            assert main([command, "--config", str(conf)]) == 1, (command, value)
+            assert [p.name for p in tmp_path.iterdir()] == ["run.json"], (command, value)
 
 
 # ------------------------------------------------------------ config plumbing

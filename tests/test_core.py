@@ -72,6 +72,9 @@ def test_background_parameter_errors():
         ws.GaussianBackground(sigma=-1.0)
     with pytest.raises(ws.ParameterError):
         ws.sample_epsilon_matrix(ws.UniformBackground(), 0, 2, ws.make_rng(0))
+    for count, n in ((2.0, 2), (2, True), ("2", 2)):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.sample_epsilon_matrix(ws.UniformBackground(), count, n, ws.make_rng(0))
     # hopeless truncation: nearly all mass outside [0, 1]
     with pytest.raises(ws.ParameterError):
         ws.GaussianBackground(mean=50.0, sigma=0.001)
@@ -446,6 +449,9 @@ def test_pairwise_delta_index_errors():
         ws.pairwise_delta(ref_state(), ref_params(), REF_EPSILON, 0, 2)
     with pytest.raises(ws.ParameterError):
         ws.pairwise_delta(ref_state(), ref_params(), REF_EPSILON, -1, 0)
+    for a in (True, 0.0, "0"):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.pairwise_delta(ref_state(), ref_params(), REF_EPSILON, a, 1)
 
 
 # ---------------------------------------------------------------- trajectory
@@ -621,6 +627,42 @@ def test_agent_params_validation():
         ws.AgentParams(lam=0.5, initial_wealth=-1.0)
     with pytest.raises(ws.ParameterError):
         ws.make_agents(3, [0.5, 0.5], 1.0)
+    # numpy reals pass and are stored as Python floats
+    agents = ws.make_agents(np.int64(100), ws.make_rng(1001).random(100), np.int64(7))
+    assert all(type(a.lam) is float and type(a.initial_wealth) is float for a in agents)
+    assert agents[0].initial_wealth == 7.0
+    assert ws.AgentParams(np.float32(0.5), 3) == ws.AgentParams(0.5, 3.0)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (ws.make_agents, (2, True, [True, 5])),
+        (ws.make_agents, (2, "0.5", 1.0)),
+        (ws.make_agents, (2, None, 1.0)),
+        (ws.make_agents, (2, 0.5, [1.0, None])),
+        (ws.make_agents, (2.0, 0.5, 1.0)),
+        (ws.AgentParams, ("0.5", 1.0)),
+        (ws.TwoEconomyParams, (True, 0.8, False, 1000, 2000)),
+        (ws.TwoEconomyParams, (0.95, 0.8, 0.5, "1000", 2000)),
+        (ws.GaussianBackground, ("0.5",)),
+        (ws.GaussianBackground, (0.5, None)),
+        (ws.background_from_dict, ("gaussian",)),
+        (ws.background_from_dict, (None,)),
+        (ws.run_trajectory, (ref_params(), ws.UniformBackground(), 5, 1, 2.5)),
+        (ws.run_trajectory, (ref_params(), ws.UniformBackground(), 5, 1, True)),
+        (ws.run_trajectory, (ref_params(), ws.UniformBackground(), 10.5, 1)),
+        (ws.variance_trajectory, (ref_params(), ws.UniformBackground(), 5, 1, 1, 2.5)),
+        (ws.compare_backgrounds, (ref_params(), 5.0, 2, 1)),
+        (ws.concordance, (ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000, 2000),
+                          ws.UniformBackground(), 1.5, 5, 1)),
+        (ws.induced_epsilon_mean, (ws.UniformBackground(), 2.0)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_library_refuses_mistyped_values(func, args):
+    with pytest.raises(ws.ParameterError):
+        func(*args)
 
 
 def test_wealth_state_validation():
@@ -628,6 +670,10 @@ def test_wealth_state_validation():
         ws.WealthState(0, np.array([-1.0, 2.0]))
     with pytest.raises(ws.ParameterError):
         ws.WealthState(-1, np.array([1.0]))
+    for index in (1.5, 1.0, True, None):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.WealthState(index, np.array([1.0]))
+    assert type(ws.WealthState(np.int64(3), np.array([1.0])).transaction_index) is int
 
 
 def test_seed_validation():

@@ -238,6 +238,9 @@ def test_evaluate_rejects_negative_m():
     for m_max in (2.5, 3.0, True, "3"):
         with pytest.raises(ws.ParameterError, match="integer"):
             ws.evaluate_series(sol, m_max)
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.evaluate(sol, m_max)
+    assert ws.evaluate(sol, np.int64(3)) == ws.evaluate(sol, 3)
     xs, _ = ws.evaluate_series(sol, np.int64(3))
     assert xs.size == 4
 

@@ -35,6 +35,9 @@ def test_histogram_errors():
         ws.build_histogram([], bins=3)
     with pytest.raises(ws.ParameterError):
         ws.build_histogram([1.0], bins=0)
+    for bins in (2.0, True, "2"):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.build_histogram([1.0], bins=bins)
     with pytest.raises(ws.ParameterError):
         ws.build_histogram([1.0], bins=2, range=(2.0, 1.0))
     with pytest.raises(ws.ParameterError):
@@ -191,6 +194,9 @@ def test_detect_equilibrium_validation():
         ws.detect_equilibrium([(0, 1.0)], window=1)
     with pytest.raises(ws.ParameterError):
         ws.detect_equilibrium([(0, 1.0)], window=2, tolerance=0.0)
+    for window in (2.5, 2.0, True, "2"):
+        with pytest.raises(ws.ParameterError, match="integer"):
+            ws.detect_equilibrium([(0, 1.0)], window=window)
 
 
 def test_detect_matches_scan_on_noisy_series():
