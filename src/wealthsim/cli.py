@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,8 +52,8 @@ _CONFIG_TYPES = {
     "background": (background_from_dict, "a background descriptor"),
     "replicas": (lambda v: _integer(v, "replicas"), "an integer"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bins": (lambda v: _integer(v, "bins") >= 1, "an integer >= 1"),
-    "threshold": (lambda v: 0 <= _number(v, "threshold") < math.inf, "a finite number >= 0"),
+    "bins": (lambda v: _integer(v, "bins", 1), "an integer >= 1"),
+    "threshold": (lambda v: _number(v, "threshold", 0), "a finite number >= 0"),
     "self_test": (_is_bool, "true or false"),
 }
 
@@ -365,7 +364,10 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as f:
-        loaded = json.load(f)
+        try:
+            loaded = json.load(f)
+        except ValueError as exc:  # not JSON, or an integer of more than 4300 digits
+            raise ParameterError(f"config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
     return loaded
@@ -427,15 +429,13 @@ def main(argv=None) -> int:
         if args.command == "solve":
             p = TwoEconomyParams(args.lambda_x, args.lambda_y, args.epsilon, args.x0, args.y0)
             return cmd_solve(p, args.m_max, args.output_dir)
-        if args.command == "concordance":
-            config = _merge_run_config(
-                args,
-                defaults={"agents": 2, "replicas": 1000, "transactions": 200,
-                          "background": {"kind": "gaussian"}},
-            )
-            return cmd_concordance(config)
-        raise ParameterError(f"unknown command {args.command!r}")
-    except (ParameterError, DegenerateInputError, json.JSONDecodeError) as exc:
+        config = _merge_run_config(  # concordance, the last of the required subcommands
+            args,
+            defaults={"agents": 2, "replicas": 1000, "transactions": 200,
+                      "background": {"kind": "gaussian"}},
+        )
+        return cmd_concordance(config)
+    except (ParameterError, DegenerateInputError) as exc:
         print(f"wealthsim: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

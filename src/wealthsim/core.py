@@ -70,10 +70,7 @@ _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJ
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer."""
-    seed = _integer(seed, "seed")
-    if not 0 <= seed <= MAX_SEED:
-        raise ParameterError(f"seed must be in [0, 2**64 - 1], got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_integer(seed, "seed", 0, MAX_SEED)))
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,9 @@ class AgentParams:
     initial_wealth: float
 
     def __post_init__(self) -> None:
-        for name, what in (("lam", "saving propensity"), ("initial_wealth", "initial wealth")):
-            object.__setattr__(self, name, _number(getattr(self, name), what))
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ParameterError(f"saving propensity must be in [0, 1], got {self.lam}")
-        if not (math.isfinite(self.initial_wealth) and self.initial_wealth >= 0.0):
-            raise ParameterError(f"initial wealth must be >= 0, got {self.initial_wealth}")
+        for name, what, high in (("lam", "saving propensity", 1),
+                                 ("initial_wealth", "initial wealth", None)):
+            object.__setattr__(self, name, _number(getattr(self, name), what, 0, high))
 
 
 def make_agents(
@@ -98,9 +92,7 @@ def make_agents(
     initial_wealth: float | Sequence[float],
 ) -> list[AgentParams]:
     """Build an agent list, broadcasting scalar ``lam``/``initial_wealth`` to n."""
-    n = _integer(n, "agent count")
-    if n < 1:
-        raise ParameterError(f"agent count must be >= 1, got {n}")
+    n = _integer(n, "agent count", 1)
     # None is broadcast like a scalar, so that AgentParams refuses it.
     lams, wealth = (
         [v] * n if np.isscalar(v) or v is None else list(v) for v in (lam, initial_wealth)
@@ -120,12 +112,10 @@ class WealthState:
     wealth: np.ndarray
 
     def __post_init__(self) -> None:
-        self.transaction_index = _integer(self.transaction_index, "transaction index")
+        self.transaction_index = _integer(self.transaction_index, "transaction index", 0)
         self.wealth = np.asarray(self.wealth, dtype=float)
         if self.wealth.ndim != 1 or self.wealth.size < 1:
             raise ParameterError("wealth must be a non-empty 1-D vector")
-        if self.transaction_index < 0:
-            raise ParameterError("transaction index must be >= 0")
         if not np.all(np.isfinite(self.wealth)) or self.wealth.min() < 0.0:
             raise ParameterError("wealth entries must be finite and >= 0")
 
@@ -134,19 +124,40 @@ def _is_bool(value: object) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _integer(value: object, what: str) -> int:
-    # ``value`` as a Python int; booleans, floats and strings are refused.
+def _integer(value: object, what: str, low: int | None = None, high: int | None = None) -> int:
+    # ``value`` as a Python int in the closed range [low, high], where a None
+    # bound is absent; booleans, floats and strings are refused.
     if _is_bool(value) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return _within(int(value), what, low, high)
 
 
-def _number(value: object, what: str) -> float:
-    # ``value`` as a Python float: Python and numpy reals pass; booleans,
-    # strings and None are refused.
+def _number(
+    value: object, what: str, low: float | None = None, high: float | None = None
+) -> float:
+    # ``value`` as a finite Python float in [low, high], as for ``_integer``:
+    # Python and numpy reals pass; booleans, strings, None, inf, NaN and
+    # integers too large for a float are refused.
     if _is_bool(value) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{what} must be a number, not a boolean or string, got {value!r}")
-    return float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ParameterError(f"{what} must be finite, got an integer too large for a float")
+    if not math.isfinite(v):
+        raise ParameterError(f"{what} must be finite, got {v}")
+    return _within(v, what, low, high)
+
+
+def _within(v: float, what: str, low: float | None, high: float | None) -> float:
+    # ``v`` if it lies in [low, high]; no caller gives ``high`` without ``low``.
+    if (low is not None and v < low) or (high is not None and v > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        # Python refuses to print an integer of more than 4300 digits.
+        big = not isinstance(v, float) and v.bit_length() >= 1000
+        shown = f"an integer of {v.bit_length()} bits" if big else v
+        raise ParameterError(f"{what} must be {bound}, got {shown}")
+    return v
 
 
 def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -155,17 +166,10 @@ def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
     Entries must be numbers (booleans are refused), lie in [0, 1] and sum
     to 1 within ``SIMPLEX_ATOL``.
     """
-    entries = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if entries.dtype == bool or (entries.dtype == object and any(map(_is_bool, entries.flat))):
-        raise ParameterError(f"share entries must be numbers, not booleans, got {values!r}")
-    try:
-        eps = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"share entries must be numbers, got {values!r}") from exc
-    if eps.ndim != 1 or eps.size < 1:
+    entries = np.asarray(values, dtype=object)
+    if entries.ndim != 1 or entries.size < 1:
         raise ParameterError("share vector must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(eps)) or eps.min() < 0.0 or eps.max() > 1.0:
-        raise ParameterError("share entries must lie in [0, 1]")
+    eps = np.array([_number(v, "share entry", 0, 1) for v in entries])
     total = float(eps.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ParameterError(f"shares must sum to 1 within {SIMPLEX_ATOL}, got {total!r}")
@@ -313,10 +317,8 @@ class GaussianBackground(NoiseBackground):
     def __post_init__(self) -> None:
         for name in ("mean", "sigma"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+        if not self.sigma > 0.0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if not math.isfinite(self.mean):
-            raise ParameterError(f"mean must be finite, got {self.mean}")
         mass = _normal_cdf((1.0 - self.mean) / self.sigma) - _normal_cdf(
             (0.0 - self.mean) / self.sigma
         )
@@ -441,11 +443,7 @@ def sample_epsilon_matrix(
     ``NoiseBackground.shares``); constant backgrounds return their stored
     shares directly.
     """
-    count, n = _integer(count, "count"), _integer(n, "n")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    count, n = _integer(count, "count", 1), _integer(n, "n", 1)
     _generators(rng, count)
     return background.shares(count, n, rng)
 
@@ -507,9 +505,7 @@ def pairwise_delta(
     n = x.size
     if len(params) != n or len(epsilon) != n:
         raise ParameterError("state, params and shares must have equal length")
-    a, b = _integer(a, "agent index"), _integer(b, "agent index")
-    if not (0 <= a < n) or not (0 <= b < n):
-        raise ParameterError(f"agent indices must be in [0, {n}), got ({a}, {b})")
+    a, b = _integer(a, "agent index", 0, n - 1), _integer(b, "agent index", 0, n - 1)
     eps = np.asarray(epsilon, dtype=float)
     return float(
         eps[b] * (1.0 - params[a].lam) * x[a] - eps[a] * (1.0 - params[b].lam) * x[b]
@@ -569,17 +565,11 @@ def _evolve(
     wealth; raises ``ConservationError`` after a block that ends with
     negative wealth or in which drift passed tolerance.
     """
-    transactions = _integer(transactions, "transactions")
-    if transactions < 1:
-        raise ParameterError(f"transactions must be >= 1, got {transactions}")
+    transactions = _integer(transactions, "transactions", 1)
     if record_every is None:
         record_every = max(1, transactions // 10_000)
-    record_every = _integer(record_every, "record_every")
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
-    replicas = _integer(replicas, "replicas")
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    record_every = _integer(record_every, "record_every", 1)
+    replicas = _integer(replicas, "replicas", 1)
     rngs = [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]
     x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)

@@ -46,14 +46,9 @@ class TwoEconomyParams:
     y0: float
 
     def __post_init__(self) -> None:
-        for name in ("lambda_x", "lambda_y", "epsilon"):
-            v = _number(getattr(self, name), name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ParameterError(f"{name} must be in [0, 1], got {v}")
-        for name in ("x0", "y0"):
-            v = _number(getattr(self, name), name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be >= 0, got {v}")
+        for name, high in (("lambda_x", 1), ("lambda_y", 1), ("epsilon", 1),
+                           ("x0", None), ("y0", None)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, 0, high))
         if not math.isfinite(self.total):
             raise ParameterError(f"x0 + y0 must be finite, got {self.total}")
 
@@ -144,9 +139,7 @@ def closed_form(p: TwoEconomyParams) -> ClosedFormSolution:
 
 def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
     """Trajectory value (x(m), y(m)) after m transactions; ``m`` must be an integer."""
-    m = _integer(m, "m")
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
+    m = _integer(m, "m", 0)
     t = sol.decay_root ** m
     x = sol.fixed_point_x + sol.coeff_x * t
     y = sol.fixed_point_y + sol.coeff_y * t
@@ -158,9 +151,7 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
 
 def evaluate_series(sol: ClosedFormSolution, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized trajectory for m = 0..m_max; ``m_max`` must be an integer."""
-    m_max = _integer(m_max, "m_max")
-    if m_max < 0:
-        raise ParameterError(f"m_max must be >= 0, got {m_max}")
+    m_max = _integer(m_max, "m_max", 0)
     powers = sol.decay_root ** np.arange(m_max + 1, dtype=float)
     return sol.fixed_point_x + sol.coeff_x * powers, sol.fixed_point_y + sol.coeff_y * powers
 
@@ -172,10 +163,7 @@ def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
     are exchangeable and sum to one: each has mean exactly 1/n regardless of
     the draw distribution.  A constant background's share is its stored value.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return background.mean_share(n)
+    return background.mean_share(_integer(n, "n", 1))
 
 
 @dataclass
@@ -189,7 +177,7 @@ class ConcordanceReport:
     epsilon_det: float
     replicas: int
     total_wealth: float
-    max_conservation_drift: float = 0.0
+    max_conservation_drift: float
 
 
 def concordance(

@@ -8,7 +8,7 @@ matched-ensemble comparison of two noise backgrounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .core import (
     UniformBackground,
     _evolve,
     _integer,
+    _number,
 )
 from .errors import DegenerateInputError, ParameterError
 
@@ -64,15 +65,13 @@ def build_histogram(
         raise ParameterError("samples must be non-empty")
     if not np.isfinite(s).all():
         raise ParameterError("samples must be finite")
-    bins = _integer(bins, "bins")
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    bins = _integer(bins, "bins", 1)
     if range is None:
         lo, hi = float(s.min()), float(s.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo, hi = float(range[0]), float(range[1])
+        lo, hi = _number(range[0], "range low"), _number(range[1], "range high")
         if not lo < hi:
             raise ParameterError(f"range low must be < high, got ({lo}, {hi})")
         if s.min() < lo or s.max() > hi:
@@ -146,9 +145,8 @@ def detect_equilibrium(
     arr = np.asarray(variance_series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ParameterError("variance series must be a non-empty sequence of (index, value)")
-    window = _integer(window, "window")
-    if window < 2:
-        raise ParameterError(f"window must be >= 2, got {window}")
+    window = _integer(window, "window", 2)
+    tolerance = _number(tolerance, "tolerance")
     if not tolerance > 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tolerance}")
     idx = arr[:, 0]
@@ -226,14 +224,14 @@ class ComparisonResult:
     convergence_uniform: ConvergenceReport
     convergence_gaussian: ConvergenceReport
     replicas: int
-    replica_variance_uniform: list[float] = field(default_factory=list)
-    replica_variance_gaussian: list[float] = field(default_factory=list)
-    replica_convergence_uniform: list[int | None] = field(default_factory=list)
-    replica_convergence_gaussian: list[int | None] = field(default_factory=list)
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    ensemble_variance_uniform: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ensemble_variance_gaussian: np.ndarray = field(default_factory=lambda: np.empty(0))
-    max_conservation_drift: float = 0.0
+    replica_variance_uniform: list[float]
+    replica_variance_gaussian: list[float]
+    replica_convergence_uniform: list[int | None]
+    replica_convergence_gaussian: list[int | None]
+    indices: np.ndarray
+    ensemble_variance_uniform: np.ndarray
+    ensemble_variance_gaussian: np.ndarray
+    max_conservation_drift: float
 
 
 def compare_backgrounds(

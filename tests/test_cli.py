@@ -380,8 +380,10 @@ def test_concordance_old_style_config_runs(tmp_path):
 #: including the keys it ignores.
 MISTYPED = {
     "agents": [None, True, "2", 2.0, 2.5, [2]],
-    "lambdas": [None, True, "0.9", [0.9, "x"], [0.9, None], [0.9, False], {"x": 0.9}],
-    "initial_wealth": [None, False, "100", [100, "x"], [100, None]],
+    "lambdas": [
+        None, True, "0.9", [0.9, "x"], [0.9, None], [0.9, False], {"x": 0.9}, 10**400
+    ],
+    "initial_wealth": [None, False, "100", [100, "x"], [100, None], 10**400],
     "background": [
         None, True, "gaussian", [0.9, "x"], {"kind": "gaussian", "mean": "x"},
         {"kind": "gaussian", "mean": None}, {"kind": "gaussian", "sigma": True},
@@ -451,6 +453,10 @@ def test_invalid_config_exits_one(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{nope")
     assert main(["simulate", "--config", str(notjson), "--out", str(tmp_path / "y")]) == 1
+    # Python's json refuses an integer of more than 4300 digits with a bare ValueError
+    notjson.write_text('{"seed": 1' + "0" * 5000 + "}")
+    assert main(["simulate", "--config", str(notjson), "--out", str(tmp_path / "y")]) == 1
+    assert not (tmp_path / "y").exists()
     # mistyped values are rejected, not coerced or left to crash
     for i, conf in enumerate(
         [

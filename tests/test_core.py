@@ -657,12 +657,76 @@ def test_agent_params_validation():
         (ws.concordance, (ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000, 2000),
                           ws.UniformBackground(), 1.5, 5, 1)),
         (ws.induced_epsilon_mean, (ws.UniformBackground(), 2.0)),
+        # numbers must be finite, integers too large for a float included
+        (ws.make_agents, (2, 0.5, 10**400)),
+        (ws.TwoEconomyParams, (0.95, 0.8, 0.5, 10**400, 1)),
+        (ws.detect_equilibrium, ([(0, 1.0), (1, 1.0)], 2, True)),
+        (ws.detect_equilibrium, ([(0, 1.0), (1, 1.0)], 2, math.inf)),
+        (ws.build_histogram, ([1.0, 2.0], 2, (True, 5))),
+        (ws.build_histogram, ([1.0, 2.0], 2, (0, math.inf))),
+        (ws.GaussianBackground, (0.5, math.inf)),
+        # Python refuses to print an integer of more than 4300 digits
+        (ws.make_rng, (10**5000,)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_library_refuses_mistyped_values(func, args):
     with pytest.raises(ws.ParameterError):
         func(*args)
+
+
+def _solution():
+    return ws.closed_form(ws.TwoEconomyParams(0.95, 0.8, 0.51, 1000, 2000))
+
+
+def _delta(a, b):
+    return ws.pairwise_delta(ws.WealthState(0, np.array([1.0, 2.0])), ref_params(), [0.5, 0.5],
+                             a, b)
+
+
+_BELOW_0 = np.nextafter(0.0, -1.0)
+_ABOVE_1 = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "build, bound, past",
+    [
+        pytest.param(lambda v: ws.AgentParams(v, 1.0), 0.0, _BELOW_0, id="lam-0"),
+        pytest.param(lambda v: ws.AgentParams(v, 1.0), 1.0, _ABOVE_1, id="lam-1"),
+        pytest.param(lambda v: ws.AgentParams(0.5, v), 0.0, _BELOW_0, id="wealth-0"),
+        pytest.param(lambda v: ws.validate_epsilon([v, 0.0]), 1.0, _ABOVE_1, id="share-1"),
+        pytest.param(lambda v: ws.validate_epsilon([1.0, v]), 0.0, _BELOW_0, id="share-0"),
+        pytest.param(lambda v: ws.TwoEconomyParams(0.9, 0.8, v, 1.0, 2.0), 1.0, _ABOVE_1,
+                     id="epsilon-1"),
+        pytest.param(lambda v: ws.TwoEconomyParams(0.9, 0.8, 0.5, v, 2.0), 0.0, _BELOW_0,
+                     id="x0-0"),
+        pytest.param(lambda v: ws.make_agents(v, 0.5, 1.0), 1, 0, id="agents-1"),
+        pytest.param(lambda v: ws.build_histogram([1.0, 2.0], v), 1, 0, id="bins-1"),
+        pytest.param(lambda v: ws.detect_equilibrium([(0, 1.0), (1, 1.0)], v), 2, 1,
+                     id="window-2"),
+        pytest.param(lambda v: ws.evaluate(_solution(), v), 0, -1, id="m-0"),
+        pytest.param(lambda v: ws.evaluate_series(_solution(), v), 0, -1, id="m_max-0"),
+        pytest.param(ws.make_rng, 0, -1, id="seed-0"),
+        pytest.param(ws.make_rng, ws.MAX_SEED, ws.MAX_SEED + 1, id="seed-max"),
+        pytest.param(lambda v: ws.WealthState(v, np.array([1.0])), 0, -1, id="index-0"),
+        pytest.param(lambda v: _delta(0, v), 1, 2, id="agent-index-n-1"),
+        pytest.param(lambda v: _delta(v, 1), 0, -1, id="agent-index-0"),
+        pytest.param(lambda v: ws.sample_epsilon_matrix(ws.UniformBackground(), v, 2,
+                                                        ws.make_rng(0)), 1, 0, id="count-1"),
+        pytest.param(lambda v: ws.induced_epsilon_mean(ws.UniformBackground(), v), 1, 0,
+                     id="n-1"),
+        pytest.param(lambda v: ws.run_trajectory(ref_params(), ws.UniformBackground(), v, 0),
+                     1, 0, id="transactions-1"),
+        pytest.param(lambda v: ws.run_trajectory(ref_params(), ws.UniformBackground(), 3, 0, v),
+                     1, 0, id="record_every-1"),
+        pytest.param(lambda v: ws.variance_trajectory(ref_params(), ws.UniformBackground(), 3,
+                                                      0, 1, v), 1, 0, id="replicas-1"),
+    ],
+)
+def test_entry_points_take_their_inclusive_bound(build, bound, past):
+    build(bound)
+    with pytest.raises(ws.ParameterError, match=r"must be (>=|in \[)"):
+        build(past)
 
 
 def test_wealth_state_validation():
