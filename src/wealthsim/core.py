@@ -93,10 +93,8 @@ def make_agents(
 ) -> list[AgentParams]:
     """Build an agent list, broadcasting scalar ``lam``/``initial_wealth`` to n."""
     n = _integer(n, "agent count", 1)
-    # None is broadcast like a scalar, so that AgentParams refuses it.
-    lams, wealth = (
-        [v] * n if np.isscalar(v) or v is None else list(v) for v in (lam, initial_wealth)
-    )
+    lams, wealth = ([v] * n if np.asarray(v, dtype=object).ndim == 0 else list(v)
+                    for v in (lam, initial_wealth))
     if len(lams) != n or len(wealth) != n:
         raise ParameterError(
             f"per-agent lists must have length {n}, got {len(lams)} and {len(wealth)}"
@@ -113,11 +111,9 @@ class WealthState:
 
     def __post_init__(self) -> None:
         self.transaction_index = _integer(self.transaction_index, "transaction index", 0)
-        self.wealth = np.asarray(self.wealth, dtype=float)
+        self.wealth = _array(self.wealth, "wealth entry", 0)
         if self.wealth.ndim != 1 or self.wealth.size < 1:
             raise ParameterError("wealth must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.wealth)) or self.wealth.min() < 0.0:
-            raise ParameterError("wealth entries must be finite and >= 0")
 
 
 def _is_bool(value: object) -> bool:
@@ -149,6 +145,23 @@ def _number(
     return _within(v, what, low, high)
 
 
+def _array(
+    values: object, what: str, low: float | None = None, high: float | None = None
+) -> np.ndarray:
+    # A new float array of ``values``' shape whose every entry passes ``_number(entry,
+    # what, low, high)``: an integer or float ndarray by its extremes, else entry by entry.
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        out = values.astype(float)
+        for extreme in (out.min(), out.max()) if out.size else ():
+            _number(extreme, what, low, high)
+        return out
+    try:
+        entries = np.asarray(values, dtype=object)
+    except ValueError:  # nested arrays numpy cannot lay out
+        raise ParameterError(f"{what} values must nest evenly, got {values!r}")
+    return np.array([_number(v, what, low, high) for v in entries.flat]).reshape(entries.shape)
+
+
 def _within(v: float, what: str, low: float | None, high: float | None) -> float:
     # ``v`` if it lies in [low, high]; no caller gives ``high`` without ``low``.
     if (low is not None and v < low) or (high is not None and v > high):
@@ -166,10 +179,9 @@ def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
     Entries must be numbers (booleans are refused), lie in [0, 1] and sum
     to 1 within ``SIMPLEX_ATOL``.
     """
-    entries = np.asarray(values, dtype=object)
-    if entries.ndim != 1 or entries.size < 1:
+    eps = _array(values, "share entry", 0, 1)
+    if eps.ndim != 1 or eps.size < 1:
         raise ParameterError("share vector must be a non-empty 1-D vector")
-    eps = np.array([_number(v, "share entry", 0, 1) for v in entries])
     total = float(eps.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ParameterError(f"shares must sum to 1 within {SIMPLEX_ATOL}, got {total!r}")
@@ -413,11 +425,9 @@ def normalize_epsilon(u: Sequence[float] | np.ndarray) -> np.ndarray:
     An all-zero vector has no direction; callers resample on
     ``DegenerateInputError``.
     """
-    u = np.asarray(u, dtype=float)
+    u = _array(u, "raw entry")
     if u.ndim != 1 or u.size < 1:
         raise ParameterError("raw vector must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(u)):
-        raise ParameterError("raw vector entries must be finite")
     with np.errstate(over="ignore"):
         sq = u * u
         total = sq.sum()
@@ -471,15 +481,12 @@ def step(
     entry is non-negative.
     """
     x = state.wealth
-    n = x.size
-    if len(params) != n or len(epsilon) != n:
-        raise ParameterError(
-            f"state ({n}), params ({len(params)}) and shares ({len(epsilon)}) "
-            "must have equal length"
-        )
+    eps = _array(epsilon, "share entry", 0, 1)  # a new array: the kernel overwrites it
+    if len(params) != x.size or eps.shape != x.shape:
+        raise ParameterError("state, params and shares must have equal length")
     lam = np.array([p.lam for p in params])
     new = x.copy()
-    _step_kernel(lam, 1.0 - lam, new, np.array(epsilon, dtype=float), np.empty((1, 1)))
+    _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)))
     total = x.sum()
     if total > 0.0 and abs(new.sum() - total) / total > CONSERVATION_RTOL:
         raise ConservationError(
@@ -502,11 +509,10 @@ def pairwise_delta(
     Antisymmetric in (a, b); zero on the diagonal.
     """
     x = state.wealth
-    n = x.size
-    if len(params) != n or len(epsilon) != n:
+    eps = _array(epsilon, "share entry", 0, 1)
+    if len(params) != x.size or eps.shape != x.shape:
         raise ParameterError("state, params and shares must have equal length")
-    a, b = _integer(a, "agent index", 0, n - 1), _integer(b, "agent index", 0, n - 1)
-    eps = np.asarray(epsilon, dtype=float)
+    a, b = _integer(a, "agent index", 0, x.size - 1), _integer(b, "agent index", 0, x.size - 1)
     return float(
         eps[b] * (1.0 - params[a].lam) * x[a] - eps[a] * (1.0 - params[b].lam) * x[b]
     )

@@ -18,6 +18,7 @@ from .core import (
     GaussianBackground,
     NoiseBackground,
     UniformBackground,
+    _array,
     _evolve,
     _integer,
     _number,
@@ -33,16 +34,15 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        self.bin_edges = np.asarray(self.bin_edges, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.bin_edges = _array(self.bin_edges, "bin edge")
+        self.counts = np.array([_integer(c, "count", 0, 2**63 - 1)
+                                for c in np.asarray(self.counts, dtype=object).flat], np.int64)
         if self.bin_edges.ndim != 1 or self.bin_edges.size < 2:
             raise ParameterError("need at least two bin edges")
         if np.any(np.diff(self.bin_edges) <= 0.0):
             raise ParameterError("bin edges must be strictly increasing")
         if self.counts.size != self.bin_edges.size - 1:
             raise ParameterError("counts length must be edges length - 1")
-        if self.counts.min() < 0:
-            raise ParameterError("counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -60,20 +60,19 @@ def build_histogram(
     either side when all samples coincide).  Samples outside an explicit
     range are rejected so counts always partition the input.
     """
-    s = np.asarray(samples, dtype=float)
+    s = _array(samples, "sample")
     if s.size == 0:
         raise ParameterError("samples must be non-empty")
-    if not np.isfinite(s).all():
-        raise ParameterError("samples must be finite")
     bins = _integer(bins, "bins", 1)
     if range is None:
         lo, hi = float(s.min()), float(s.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo, hi = _number(range[0], "range low"), _number(range[1], "range high")
-        if not lo < hi:
-            raise ParameterError(f"range low must be < high, got ({lo}, {hi})")
+        ends = _array(range, "range end")
+        if ends.shape != (2,) or not ends[0] < ends[1]:
+            raise ParameterError(f"range must be (low, high) with low < high, got {range!r}")
+        lo, hi = ends.tolist()
         if s.min() < lo or s.max() > hi:
             raise ParameterError("samples fall outside the given range")
     counts, edges = np.histogram(s, bins=bins, range=(lo, hi))
@@ -84,7 +83,7 @@ def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
     """Combine two histograms over identical edges by summing counts."""
     if not np.array_equal(a.bin_edges, b.bin_edges):
         raise ParameterError("histograms must share identical bin edges")
-    return Histogram(a.bin_edges.copy(), a.counts + b.counts)
+    return Histogram(a.bin_edges, a.counts + b.counts)
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,9 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
 
     shape = mean**2 / variance, scale = variance / mean (population variance).
     """
-    s = np.asarray(samples, dtype=float)
+    s = _array(samples, "sample", 0)
     if s.size < 2:
         raise ParameterError(f"need at least 2 samples, got {s.size}")
-    if not np.isfinite(s).all():
-        raise ParameterError("samples must be finite")
-    if s.min() < 0.0:
-        raise ParameterError("samples must be non-negative")
     mean = float(s.mean())
     var = float(s.var())
     if var <= 0.0:
@@ -142,15 +137,14 @@ def detect_equilibrium(
     (``converged=False``, no error).  ``final_variance`` is the trailing
     mean at the last point.
     """
-    arr = np.asarray(variance_series, dtype=float)
+    arr = _array(variance_series, "variance series entry")
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ParameterError("variance series must be a non-empty sequence of (index, value)")
     window = _integer(window, "window", 2)
     tolerance = _number(tolerance, "tolerance")
     if not tolerance > 0.0:
         raise ParameterError(f"tolerance must be > 0, got {tolerance}")
-    idx = arr[:, 0]
-    v = arr[:, 1]
+    idx, v = arr.T
     if np.any(np.diff(idx) < 0):
         raise ParameterError("variance series must be sorted by index")
     t = v.size

@@ -667,12 +667,69 @@ def test_agent_params_validation():
         (ws.GaussianBackground, (0.5, math.inf)),
         # Python refuses to print an integer of more than 4300 digits
         (ws.make_rng, (10**5000,)),
+        # array arguments follow the scalar rule entry by entry
+        (ws.WealthState, (0, ["x"])),
+        (ws.normalize_epsilon, (["x"],)),
+        (ws.build_histogram, (["x"], 2)),
+        (ws.gamma_fit_moments, (["x", "y"],)),
+        (ws.detect_equilibrium, ([("a", 1.0)], 2)),
+        (ws.build_histogram, ([1.0, 2.0], 2, (0,))),
+        (ws.build_histogram, ([1.0, 2.0], 2, 5)),
+        (ws.make_agents, (2, 0.5, object())),
+        (ws.step, (ref_state(), ref_params(), 5.0)),
+        (ws.pairwise_delta, (ref_state(), ref_params(), None, 0, 1)),
+        (ws.WealthState, (0, np.array([True, False]))),
+        (ws.build_histogram, (np.array([True, False]), 2)),
+        (ws.normalize_epsilon, (np.array([True, False]),)),
+        (ws.detect_equilibrium, ([(0, 1.0), (1, math.nan)], 2)),
+        (ws.Histogram, ([0, 1, 2], [1.5, 2])),
+        (ws.Histogram, ([0, 1, 2], [True, False])),
+        (ws.Histogram, ([0, 1, 2], ["a", "b"])),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_library_refuses_mistyped_values(func, args):
     with pytest.raises(ws.ParameterError):
         func(*args)
+
+
+def _histogram(samples):
+    hist = ws.build_histogram(samples, 2)
+    return np.concatenate((hist.bin_edges, hist.counts))
+
+
+def _gamma(samples):
+    fit = ws.gamma_fit_moments(samples)
+    return np.array([fit.shape, fit.scale, fit.sample_mean, fit.sample_variance])
+
+
+@pytest.mark.parametrize(
+    "func, valid, bad",
+    [
+        (ws.validate_epsilon, [0.25, 0.75], [[math.nan, 1.0], [math.inf, 0.0], [1.5, -0.5]]),
+        (lambda v: ws.WealthState(0, v).wealth, [1.0, 2.0],
+         [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0]]),
+        (_histogram, [1.0, 2.0, 4.0], [[math.nan, 1.0], [1.0, -math.inf]]),
+        (_gamma, [1.0, 2.0, 4.0], [[math.nan, 1.0], [1.0, math.inf], [-1.0, 2.0]]),
+    ],
+    ids=["validate_epsilon", "WealthState", "build_histogram", "gamma_fit_moments"],
+)
+def test_list_and_ndarray_entries_are_one_contract(func, valid, bad):
+    assert np.array_equal(func(valid), func(np.array(valid)))
+    for entries in bad:
+        messages = []
+        for values in (entries, np.array(entries)):
+            with pytest.raises(ws.ParameterError) as info:
+                func(values)
+            messages.append(str(info.value).split(", got")[0])
+        assert messages[0] == messages[1]
+
+
+def test_wealth_state_keeps_its_own_copy():
+    wealth = np.array([1.0, 2.0])
+    state = ws.WealthState(0, wealth)
+    wealth[0] = 5.0
+    assert np.array_equal(state.wealth, [1.0, 2.0])
 
 
 def _solution():
