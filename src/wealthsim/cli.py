@@ -5,8 +5,8 @@ win) and write CSV/JSON artifacts plus a manifest into the output directory.
 Re-running with the manifest's config and seed reproduces the data artifacts
 byte for byte; floats are written in shortest round-trip form.
 
-Exit codes: 0 success, 1 usage or config error, 2 acceptance-threshold
-failure, 3 I/O error.
+Exit codes: 0 success, 1 usage or config error or out of memory, 2
+acceptance-threshold failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     CONSERVATION_RTOL,
     GENERATOR_NAME,
     UniformBackground,
+    _drift,
     _integer,
     _is_bool,
     _number,
@@ -223,10 +224,8 @@ def cmd_solve(p: TwoEconomyParams, m_max: int, output_dir: str) -> int:
             "params": dataclasses.asdict(p),
         },
     }
-    w = p.total
-    drift = float(np.abs((xs + ys) - w).max() / w) if w > 0.0 else 0.0
     echo = {**dataclasses.asdict(p), "m_max": m_max, "output_dir": output_dir}
-    _write_artifacts(output_dir, files, echo, duration, drift)
+    _write_artifacts(output_dir, files, echo, duration, _drift((xs + ys)[:, None], p.total, 0))
     return EXIT_OK
 
 
@@ -437,6 +436,9 @@ def main(argv=None) -> int:
         return cmd_concordance(config)
     except (ParameterError, DegenerateInputError) as exc:
         print(f"wealthsim: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"wealthsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"wealthsim: i/o error: {exc}", file=sys.stderr)

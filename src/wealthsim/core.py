@@ -93,8 +93,8 @@ def make_agents(
 ) -> list[AgentParams]:
     """Build an agent list, broadcasting scalar ``lam``/``initial_wealth`` to n."""
     n = _integer(n, "agent count", 1)
-    lams, wealth = ([v] * n if np.asarray(v, dtype=object).ndim == 0 else list(v)
-                    for v in (lam, initial_wealth))
+    lams, wealth = _array(lam, "saving propensity"), _array(initial_wealth, "initial wealth")
+    lams, wealth = (a.repeat(n) if a.ndim == 0 else a for a in (lams, wealth))
     if len(lams) != n or len(wealth) != n:
         raise ParameterError(
             f"per-agent lists must have length {n}, got {len(lams)} and {len(wealth)}"
@@ -155,11 +155,16 @@ def _array(
         for extreme in (out.min(), out.max()) if out.size else ():
             _number(extreme, what, low, high)
         return out
+    entries = _entries(values, what)
+    return np.array([_number(v, what, low, high) for v in entries.flat]).reshape(entries.shape)
+
+
+def _entries(values: object, what: str) -> np.ndarray:
+    # ``values`` as an object array, for checks that go entry by entry.
     try:
-        entries = np.asarray(values, dtype=object)
+        return np.asarray(values, dtype=object)
     except ValueError:  # nested arrays numpy cannot lay out
         raise ParameterError(f"{what} values must nest evenly, got {values!r}")
-    return np.array([_number(v, what, low, high) for v in entries.flat]).reshape(entries.shape)
 
 
 def _within(v: float, what: str, low: float | None, high: float | None) -> float:
@@ -240,7 +245,7 @@ class NoiseBackground:
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
-        return 1.0 / n
+        return 1.0 / _integer(n, "n", 1)
 
 
 def _generators(rng: _Rngs, count: int) -> Sequence[np.random.Generator]:
@@ -379,7 +384,7 @@ class ConstantBackground(NoiseBackground):
         object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
 
     def _check_size(self, n: int) -> None:
-        if n != self.epsilon.size:
+        if _integer(n, "n", 1) != self.epsilon.size:
             raise ParameterError(
                 f"constant background has {self.epsilon.size} shares, asked for {n}"
             )
@@ -458,6 +463,20 @@ def sample_epsilon_matrix(
     return background.shares(count, n, rng)
 
 
+def _drift(totals: np.ndarray, total: float, first: int, what: str = "") -> float:
+    # The largest relative drift from ``total`` of a (transactions, replicas)
+    # array ``totals``, which it overwrites.  NaN, or a drift past the tolerance,
+    # raises at row r's transaction ``first + r``; a zero total drifts by nothing.
+    totals -= total
+    drift = np.abs(totals, out=totals).max(axis=1)
+    drift /= abs(total) or math.inf  # a finite deviation over inf is 0
+    over = np.flatnonzero(~(drift <= CONSERVATION_RTOL))
+    if over.size:
+        raise ConservationError(f"{what}total wealth drifted by {drift[over[0]]:.3e} "
+                                f"at transaction {first + over[0]}")
+    return float(drift.max())
+
+
 def _step_kernel(
     lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray, pool: np.ndarray
 ) -> None:
@@ -487,11 +506,7 @@ def step(
     lam = np.array([p.lam for p in params])
     new = x.copy()
     _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)))
-    total = x.sum()
-    if total > 0.0 and abs(new.sum() - total) / total > CONSERVATION_RTOL:
-        raise ConservationError(
-            f"single step drifted total wealth by more than {CONSERVATION_RTOL:.0e}"
-        )
+    _drift(np.array([[new.sum()]]), x.sum(), state.transaction_index + 1, "single step: ")
     return WealthState(state.transaction_index + 1, new)
 
 
@@ -587,7 +602,6 @@ def _evolve(
         total = float(x0.sum())
     if not math.isfinite(total):
         raise ParameterError(f"total wealth must be finite, got {total}")
-    inv_total = 1.0 / total if total > 0.0 else 0.0
     max_drift = 0.0
     x = np.tile(x0, (replicas, 1))
     lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
@@ -630,19 +644,8 @@ def _evolve(
             raise ConservationError(f"wealth went negative by transaction {done + todo}")
         # While wealth stays non-negative it is bounded by the total, so the
         # drift of a whole block can be checked after it.
-        dev = sums[:todo]
-        dev -= total
-        np.abs(dev, out=dev)
-        drift = dev.max(axis=1)
-        drift *= inv_total
-        over = np.flatnonzero(drift > CONSERVATION_RTOL)
-        if over.size:
-            j = int(over[0])
-            raise ConservationError(
-                f"total wealth drifted by {drift[j]:.3e} at transaction {done + j + 1}"
-            )
-        max_drift = max(max_drift, drift.max())
-    return indices, rows, float(max_drift)
+        max_drift = max(max_drift, _drift(sums[:todo], total, done + 1))
+    return indices, rows, max_drift
 
 
 def run_trajectory(

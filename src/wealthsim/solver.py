@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSERVATION_RTOL, NoiseBackground, _evolve, _integer, _number
-from .errors import ConservationError, ParameterError
+from .core import NoiseBackground, _drift, _evolve, _integer, _number
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,8 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
     """Trajectory value (x(m), y(m)) after m transactions; ``m`` must be an integer."""
     m = _integer(m, "m", 0)
     t = sol.decay_root ** m
-    x = sol.fixed_point_x + sol.coeff_x * t
-    y = sol.fixed_point_y + sol.coeff_y * t
-    w = sol.total
-    if w > 0.0 and not abs((x + y) - w) / w <= CONSERVATION_RTOL:
-        raise ConservationError(f"closed form drifted total wealth at m = {m}")
+    x, y = sol.fixed_point_x + sol.coeff_x * t, sol.fixed_point_y + sol.coeff_y * t
+    _drift(np.array([[x + y]]), sol.total, m, "closed form: ")
     return (float(x), float(y))
 
 
@@ -153,7 +150,9 @@ def evaluate_series(sol: ClosedFormSolution, m_max: int) -> tuple[np.ndarray, np
     """Vectorized trajectory for m = 0..m_max; ``m_max`` must be an integer."""
     m_max = _integer(m_max, "m_max", 0)
     powers = sol.decay_root ** np.arange(m_max + 1, dtype=float)
-    return sol.fixed_point_x + sol.coeff_x * powers, sol.fixed_point_y + sol.coeff_y * powers
+    xs, ys = sol.fixed_point_x + sol.coeff_x * powers, sol.fixed_point_y + sol.coeff_y * powers
+    _drift((xs + ys)[:, None], sol.total, 0, "closed form: ")
+    return xs, ys
 
 
 def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
@@ -163,7 +162,7 @@ def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
     are exchangeable and sum to one: each has mean exactly 1/n regardless of
     the draw distribution.  A constant background's share is its stored value.
     """
-    return background.mean_share(_integer(n, "n", 1))
+    return background.mean_share(n)
 
 
 @dataclass

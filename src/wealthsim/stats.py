@@ -19,6 +19,7 @@ from .core import (
     NoiseBackground,
     UniformBackground,
     _array,
+    _entries,
     _evolve,
     _integer,
     _number,
@@ -35,14 +36,14 @@ class Histogram:
 
     def __post_init__(self) -> None:
         self.bin_edges = _array(self.bin_edges, "bin edge")
-        self.counts = np.array([_integer(c, "count", 0, 2**63 - 1)
-                                for c in np.asarray(self.counts, dtype=object).flat], np.int64)
         if self.bin_edges.ndim != 1 or self.bin_edges.size < 2:
             raise ParameterError("need at least two bin edges")
         if np.any(np.diff(self.bin_edges) <= 0.0):
             raise ParameterError("bin edges must be strictly increasing")
-        if self.counts.size != self.bin_edges.size - 1:
-            raise ParameterError("counts length must be edges length - 1")
+        counts = _entries(self.counts, "count")
+        if counts.shape != (self.bin_edges.size - 1,):
+            raise ParameterError("counts must be a 1-D vector with one entry per bin")
+        self.counts = np.array([_integer(c, "count", 0, 2**63 - 1) for c in counts], np.int64)
 
     @property
     def total(self) -> int:

@@ -672,3 +672,45 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "concordance" in proc.stdout
+
+
+def test_tiny_total_wealth_runs(tmp_path):
+    # 1 / 1e-310 overflows; the drift must be measured by division.
+    out = tmp_path / "tiny"
+    code = main(["simulate", "--agents", "2", "--lambda", "0.5", "--initial-wealth", "1e-310,0",
+                 "--transactions", "100", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert read_json(out / "manifest.json")["conservation"]["max_relative_drift"] <= 1e-9
+
+
+def test_solve_checks_the_drift_its_manifest_reports(tmp_path, monkeypatch):
+    import wealthsim as ws
+
+    # Series that total 2 where the solution holds 4 must not reach a manifest.
+    monkeypatch.setattr(cli, "evaluate_series", lambda sol, m_max: (np.ones(m_max + 1),) * 2)
+    out = tmp_path / "sol"
+    with pytest.raises(ws.ConservationError):
+        main(["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5",
+              "--x0", "1", "--y0", "3", "--m-max", "5", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, allocator",
+    [
+        (["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5", "--x0", "1",
+          "--y0", "2", "--m-max", "1000000000000"], "evaluate_series"),
+        (["simulate", "--agents", "2", "--transactions", "5", "--bins", "1000000000000"],
+         "build_histogram"),
+    ],
+)
+def test_a_run_without_memory_exits_one(command, allocator, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, allocator, out_of_memory)
+    out = tmp_path / "run"
+    assert main([*command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Unable to allocate" in err
+    assert not out.exists()

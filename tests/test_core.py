@@ -547,7 +547,8 @@ def test_negative_wealth_raises_under_optimize():
     # The invariant checks must not be asserts: python -O strips those.
     script = """
 import numpy as np
-from wealthsim import ClosedFormSolution, ConservationError, ConstantBackground, evaluate
+from wealthsim import (ClosedFormSolution, ConservationError, ConstantBackground, WealthState,
+                       evaluate, evaluate_series, make_agents, step)
 from wealthsim.core import _evolve
 try:
     _evolve(np.array([1.5, 0.0]), np.array([100.0, 0.0]),
@@ -557,12 +558,16 @@ except ConservationError:
     pass
 else:
     raise SystemExit("negative wealth went unnoticed")
-try:
-    evaluate(ClosedFormSolution(1.0, 1.0, 0.5, 1.0, 1.0), 1)
-except ConservationError:
-    pass
-else:
-    raise SystemExit("closed-form drift went unnoticed")
+for drifting in (lambda: evaluate(ClosedFormSolution(1.0, 1.0, 0.5, 1.0, 1.0), 1),
+                 lambda: evaluate_series(ClosedFormSolution(1.0, 1.0, 0.5, 1.0, 1.0), 3),
+                 lambda: step(WealthState(0, np.array([1.0, 2.0])), make_agents(2, 0.5, 1.0),
+                              np.array([0.5, 0.5 + 1e-8]))):
+    try:
+        drifting()
+    except ConservationError:
+        pass
+    else:
+        raise SystemExit("drift went unnoticed")
 """
     src = str(Path(ws.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -613,6 +618,48 @@ def test_drift_is_caught_at_its_first_transaction_in_a_later_block():
                 seed=0, replicas=1, record_every=1, reduce=lambda s: s[:, 0])
     assert len(bg.counts) == 2  # the first block passed its checks
     assert str(info.value).endswith(f"at transaction {bg.counts[0] + 1}")
+
+
+def _conservation_verdicts(x0, y0):
+    # One transaction at lam 0.5 and shares (0.5, 0.5) through each route that
+    # checks the total; True where the route accepts it.
+    params = ws.make_agents(2, 0.5, [x0, y0])
+    shares = ws.ConstantBackground([0.5, 0.5])
+    sol = ws.closed_form(ws.TwoEconomyParams(0.5, 0.5, 0.5, x0, y0))
+    routes = {
+        "run_trajectory": lambda: ws.run_trajectory(params, shares, 1, 0),
+        "step": lambda: ws.step(ws.WealthState(0, np.array([x0, y0])), params, shares.epsilon),
+        "evaluate": lambda: ws.evaluate(sol, 1),
+        "evaluate_series": lambda: ws.evaluate_series(sol, 1),
+    }
+    verdicts = {}
+    for name, route in routes.items():
+        try:
+            route()
+            verdicts[name] = True
+        except ws.ConservationError:
+            verdicts[name] = False
+    return verdicts
+
+
+# Totals whose reciprocal overflows (1e-310) or is inf (1e-320) are as
+# conserved as any other; a zero total drifts by nothing.
+@pytest.mark.parametrize("x0, y0", [(1e-310, 0.0), (1e-320, 0.0), (0.0, 0.0), (1000.0, 2000.0),
+                                    (1e300, 1e300)])
+def test_every_route_gives_one_conservation_verdict(x0, y0):
+    assert _conservation_verdicts(x0, y0) == dict.fromkeys(
+        ["run_trajectory", "step", "evaluate", "evaluate_series"], True)
+    traj = ws.run_trajectory(ws.make_agents(2, 0.5, [x0, y0]), ws.UniformBackground(), 100, 1)
+    assert traj.max_conservation_drift <= ws.CONSERVATION_RTOL
+
+
+def test_a_step_that_rounds_away_one_ulp_is_refused():
+    # Half of the smallest subnormal rounds to zero, so the step loses all of
+    # the wealth; the closed form keeps that half ulp and is not refused.
+    verdicts = _conservation_verdicts(5e-324, 0.0)
+    assert not verdicts["run_trajectory"] and not verdicts["step"]
+    with pytest.raises(ws.ConservationError, match="drifted by 1.000e[+]00 at transaction 1$"):
+        ws.run_trajectory(ws.make_agents(2, 0.5, [5e-324, 0.0]), ws.UniformBackground(), 100, 1)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -685,6 +732,17 @@ def test_agent_params_validation():
         (ws.Histogram, ([0, 1, 2], [1.5, 2])),
         (ws.Histogram, ([0, 1, 2], [True, False])),
         (ws.Histogram, ([0, 1, 2], ["a", "b"])),
+        # ragged nestings and counts of the wrong shape
+        (ws.make_agents, (2, [np.zeros((2, 2)), np.zeros((2, 3))], 1.0)),
+        (ws.Histogram, ([0, 1, 2], [np.zeros((2, 2)), np.zeros((2, 3))])),
+        (ws.Histogram, ([0, 1], 5)),
+        (ws.Histogram, ([0, 1, 2], [[1], [2]])),
+        # a mean share is for a whole number of agents
+        (ws.UniformBackground().mean_share, (0,)),
+        (ws.UniformBackground().mean_share, (-1,)),
+        (ws.UniformBackground().mean_share, (2.5,)),
+        (ws.UniformBackground().mean_share, (True,)),
+        (ws.ConstantBackground([1.0]).mean_share, (True,)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )

@@ -245,6 +245,21 @@ def test_evaluate_rejects_negative_m():
     assert xs.size == 4
 
 
+@pytest.mark.parametrize(
+    "sol",
+    [
+        ws.ClosedFormSolution(1.0, 1.0, 0.5, 1.0, 1.0),  # totals 4, 3, 2.5, 2.25 against 2
+        ws.ClosedFormSolution(np.nan, 1.0, 0.5, 1.0, -1.0),  # a NaN total
+    ],
+    ids=["drifting", "nan-total"],
+)
+def test_both_evaluators_refuse_a_drifting_solution(sol):
+    with pytest.raises(ws.ConservationError, match="at transaction 0$"):
+        ws.evaluate_series(sol, 3)
+    with pytest.raises(ws.ConservationError, match="at transaction 1$"):
+        ws.evaluate(sol, 1)
+
+
 def test_params_validation():
     with pytest.raises(ws.ParameterError):
         ws.TwoEconomyParams(1.2, 0.5, 0.5, 1.0, 1.0)
