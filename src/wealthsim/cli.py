@@ -5,8 +5,8 @@ win) and write CSV/JSON artifacts plus a manifest into the output directory.
 Re-running with the manifest's config and seed reproduces the data artifacts
 byte for byte; floats are written in shortest round-trip form.
 
-Exit codes: 0 success, 1 usage or config error or out of memory, 2
-acceptance-threshold failure, 3 I/O error.
+Exit codes: 0 success, 1 usage or config error, out of memory or a broken
+conservation check, 2 acceptance-threshold failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     make_agents,
     run_trajectory,
 )
-from .errors import DegenerateInputError, ParameterError
+from .errors import ConservationError, DegenerateInputError, ParameterError
 from .solver import TwoEconomyParams, characteristic_roots, closed_form, concordance, evaluate_series, induced_epsilon_mean
 from .stats import build_histogram, compare_backgrounds
 
@@ -436,6 +436,9 @@ def main(argv=None) -> int:
         return cmd_concordance(config)
     except (ParameterError, DegenerateInputError) as exc:
         print(f"wealthsim: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConservationError as exc:
+        print(f"wealthsim: conservation error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"wealthsim: out of memory: {exc}", file=sys.stderr)

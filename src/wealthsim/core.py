@@ -285,21 +285,13 @@ def _interleave(
     fill: Callable[[np.random.Generator, np.ndarray], object],
 ) -> np.ndarray:
     # A (count, n) block whose row i is drawn from generator rngs[i % R]:
-    # ``fill(g, out)`` draws g's next rows into a C-contiguous (rows, n)
-    # array, as numpy's ``out=`` requires.  One generator fills the block
-    # itself; with R > 1, each fills one scratch array in turn, which is
-    # copied into column k of the transaction-major (rows, R, n) view.
-    if len(rngs) == 1:
-        block = np.empty((count, n))
-        fill(rngs[0], block)
-        return block
-    rows = count // len(rngs)
-    block = np.empty((rows, len(rngs), n))
-    scratch = np.empty((rows, n))
-    for k, g in enumerate(rngs):
-        fill(g, scratch)
-        block[:, k] = scratch
-    return block.reshape(count, n)
+    # ``fill(g, slab)`` draws g's next rows into its own C-contiguous
+    # (count // R, n) slab, as numpy's ``out=`` requires, and one reshape
+    # interleaves the slabs: a view of them when R = 1, one copy when R > 1.
+    slabs = np.empty((len(rngs), count // len(rngs), n))
+    for g, slab in zip(rngs, slabs):
+        fill(g, slab)
+    return slabs.transpose(1, 0, 2).reshape(count, n)
 
 
 @dataclass(frozen=True)
@@ -477,6 +469,15 @@ def _drift(totals: np.ndarray, total: float, first: int, what: str = "") -> floa
     return float(drift.max())
 
 
+def _total(wealth: np.ndarray) -> float:
+    # The sum of ``wealth``, which must be finite.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(wealth))
+    if not math.isfinite(total):
+        raise ParameterError(f"total wealth must be finite, got {total}")
+    return total
+
+
 def _step_kernel(
     lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray, pool: np.ndarray
 ) -> None:
@@ -503,10 +504,11 @@ def step(
     eps = _array(epsilon, "share entry", 0, 1)  # a new array: the kernel overwrites it
     if len(params) != x.size or eps.shape != x.shape:
         raise ParameterError("state, params and shares must have equal length")
+    total = _total(x)
     lam = np.array([p.lam for p in params])
     new = x.copy()
     _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)))
-    _drift(np.array([[new.sum()]]), x.sum(), state.transaction_index + 1, "single step: ")
+    _drift(np.array([[new.sum()]]), total, state.transaction_index + 1, "single step: ")
     return WealthState(state.transaction_index + 1, new)
 
 
@@ -598,10 +600,7 @@ def _evolve(
     if n < 1:
         raise ParameterError("need at least one agent")
     release = 1.0 - lam
-    with np.errstate(over="ignore"):
-        total = float(x0.sum())
-    if not math.isfinite(total):
-        raise ParameterError(f"total wealth must be finite, got {total}")
+    total = _total(x0)
     max_drift = 0.0
     x = np.tile(x0, (replicas, 1))
     lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
@@ -611,14 +610,14 @@ def _evolve(
     rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
-    # Bytes per block row, float64 but for the mask: the shares (replicas, n),
-    # drawn and normalized in place as one block for all replicas; their
-    # totals (replicas,); the row sums (replicas,), which the drift check
-    # reuses in place; one replica's draws (n) before they are copied into the
-    # block when replicas > 1; the drift and its mask.  Only one block is
-    # alive at a time.  A rejected Gaussian draw or an all-zero raw row
-    # briefly adds compacted copies of one replica's rows.
-    row_bytes = 8 * replicas * (n + 2) + (8 * n if replicas > 1 else 0) + 9
+    # Bytes per block row that _BLOCK_BYTES bounds while a block is stepped,
+    # float64 but for the mask: the shares (replicas, n), normalized in place
+    # as one block for all replicas; their totals (replicas,); the row sums
+    # (replicas,), reused in place by the drift check; the drift and its mask.
+    # One block is alive at a time.  Drawing a block for replicas > 1 briefly
+    # holds its raw draws twice, in the interleaving copy; a rejected Gaussian
+    # draw or an all-zero raw row briefly adds compacted copies of one replica's rows.
+    row_bytes = 8 * replicas * (n + 2) + 9
     per_block = max(1, _BLOCK_BYTES // row_bytes)
     sums = np.empty((min(per_block, transactions), replicas))
     pool = np.empty((replicas, 1, 1))

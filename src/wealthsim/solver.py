@@ -26,13 +26,11 @@ Systems of more than two agents have no closed form here; they run through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseBackground, _drift, _evolve, _integer, _number
-from .errors import ParameterError
+from .core import NoiseBackground, _drift, _evolve, _integer, _number, _total
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,7 @@ class TwoEconomyParams:
         for name, high in (("lambda_x", 1), ("lambda_y", 1), ("epsilon", 1),
                            ("x0", None), ("y0", None)):
             object.__setattr__(self, name, _number(getattr(self, name), name, 0, high))
-        if not math.isfinite(self.total):
-            raise ParameterError(f"x0 + y0 must be finite, got {self.total}")
+        _total(np.array([self.x0, self.y0]))
 
     @property
     def total(self) -> float:

@@ -59,7 +59,9 @@ def build_histogram(
 
     Without an explicit range the sample min/max is used (widened by 0.5
     either side when all samples coincide).  Samples outside an explicit
-    range are rejected so counts always partition the input.
+    range are rejected so counts always partition the input.  A span too
+    narrow (or too wide for a float) for ``bins`` bins of finite positive
+    width is refused with ``ParameterError``.
     """
     s = _array(samples, "sample")
     if s.size == 0:
@@ -76,6 +78,10 @@ def build_histogram(
         lo, hi = ends.tolist()
         if s.min() < lo or s.max() > hi:
             raise ParameterError("samples fall outside the given range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram will draw
+    if not (np.diff(edges) > 0.0).all():
+        raise ParameterError(f"cannot split [{lo!r}, {hi!r}] into {bins} bins of finite width > 0")
     counts, edges = np.histogram(s, bins=bins, range=(lo, hi))
     return Histogram(edges, counts)
 

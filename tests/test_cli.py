@@ -683,15 +683,36 @@ def test_tiny_total_wealth_runs(tmp_path):
     assert read_json(out / "manifest.json")["conservation"]["max_relative_drift"] <= 1e-9
 
 
-def test_solve_checks_the_drift_its_manifest_reports(tmp_path, monkeypatch):
-    import wealthsim as ws
-
+def test_solve_checks_the_drift_its_manifest_reports(tmp_path, monkeypatch, capsys):
     # Series that total 2 where the solution holds 4 must not reach a manifest.
     monkeypatch.setattr(cli, "evaluate_series", lambda sol, m_max: (np.ones(m_max + 1),) * 2)
     out = tmp_path / "sol"
-    with pytest.raises(ws.ConservationError):
-        main(["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5",
-              "--x0", "1", "--y0", "3", "--m-max", "5", "--out", str(out)])
+    assert main(["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5",
+                 "--x0", "1", "--y0", "3", "--m-max", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("wealthsim: conservation error: ")
+    assert not out.exists()
+
+
+def test_a_run_that_breaks_conservation_exits_one(tmp_path, capsys):
+    # Halving one ulp of wealth rounds it to zero: the run loses all its wealth.
+    out = tmp_path / "run"
+    code = main(["simulate", "--agents", "2", "--lambda", "0.5", "--initial-wealth", "5e-324,0",
+                 "--transactions", "100", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("wealthsim: conservation error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("wealth", ["1e300,1e300", "1,1.0000000000000002"])
+def test_a_histogram_span_too_narrow_for_its_bins_exits_one(wealth, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--agents", "2", "--lambda", "1", "--initial-wealth", wealth,
+                 "--transactions", "1", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("wealthsim: config error: ")
+    assert "50 bins" in err
     assert not out.exists()
 
 

@@ -342,6 +342,33 @@ def test_wide_trajectory_samples_in_small_blocks():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "background",
+    [ws.UniformBackground(), ws.GaussianBackground(), ws.GaussianBackground(0.3, 0.4)],
+    ids=["uniform", "gaussian", "rejecting-gaussian"],
+)
+def test_many_replica_trajectories_sample_in_small_blocks(background):
+    # Eight replicas share one block budget; interleaving their draws copies
+    # the raw block once while it is drawn.
+    params = ws.make_agents(1000, 0.9, 100.0)
+    ws.variance_trajectory(params, background, 1, 1, 1, replicas=8)  # lazy numpy imports
+    tracemalloc.start()
+    try:
+        ws.variance_trajectory(params, background, 200, 1, 200, replicas=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("background", [ws.UniformBackground(), ws.GaussianBackground()])
+def test_one_generator_draws_a_writable_c_contiguous_block(background):
+    # ``shares`` normalizes the block in place, and numpy's ``out=`` needs C order.
+    raw = background.sample_raw(16, 3, ws.make_rng(1))
+    assert raw.shape == (16, 3)
+    assert raw.flags.c_contiguous and raw.flags.writeable
+
+
 # --------------------------------------------------------------------- step
 
 
@@ -391,6 +418,16 @@ def test_step_refuses_shares_that_break_conservation():
     params = ws.make_agents(2, 0.5, REF_WEALTH)
     with pytest.raises(ws.ConservationError, match="single step"):
         ws.step(ref_state(), params, np.array([0.5, 0.5 + 1e-8]))
+
+
+def test_an_overflowing_total_is_refused_by_step_run_and_closed_form():
+    # 1e308 + 1e308 overflows; every entry point refuses it before stepping.
+    params = ws.make_agents(2, 0.5, [1e308, 1e308])
+    for run in (lambda: ws.step(ws.WealthState(0, [1e308, 1e308]), params, [0.5, 0.5]),
+                lambda: ws.run_trajectory(params, ws.UniformBackground(), 5, 1),
+                lambda: ws.TwoEconomyParams(0.5, 0.5, 0.5, 1e308, 1e308)):
+        with pytest.raises(ws.ParameterError, match="^total wealth must be finite"):
+            run()
 
 
 def test_step_length_mismatch():

@@ -47,6 +47,20 @@ def test_histogram_errors():
             ws.build_histogram(bad, bins=3)
 
 
+@pytest.mark.parametrize(
+    "samples, bins, range_",
+    [
+        ([1e300, 1e300], 50, None),  # the +-0.5 widening rounds away
+        ([1.0, 1.0000000000000002], 50, None),
+        ([1.0, 1.0], 3, (1.0, 1.0000000000000002)),
+        ([-1e308, 1e308], 2, None),  # the span overflows
+    ],
+)
+def test_histogram_refuses_a_span_too_narrow_for_its_bins(samples, bins, range_):
+    with pytest.raises(ws.ParameterError, match=f"into {bins} bins of finite width > 0"):
+        ws.build_histogram(samples, bins, range=range_)
+
+
 def test_histogram_merge_matches_concatenation():
     rng = ws.make_rng(888)
     for _ in range(1000):
