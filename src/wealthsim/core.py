@@ -64,7 +64,9 @@ _BLOCK_BYTES = 512 * 1024
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
 # 1 + _MAX_REJECTION_SWEEPS tries, whichever replica's stream it is in, so a
 # call for one block of at most _BLOCK_BYTES // 8 draws (all replicas
-# together) runs out of sweeps with probability at most 1e-12.
+# together) runs out of sweeps with probability at most 1e-12.  A block is
+# never less than one row, so past 8 * R * (n + 2) + 9 bytes per row a call
+# draws R * n values, more than this bound assumes.
 _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJECTION_SWEEPS))
 
 
@@ -197,13 +199,13 @@ class NoiseBackground:
     """Distribution of the raw draws behind each transaction's share vector.
 
     Sampling takes ``rng`` as one ``Generator`` or a sequence of R generators
-    (one per replica), and ``count`` must be a multiple of R: row i of a
-    result comes from generator ``i mod R``, in that generator's stream
-    order, so ``reshape(count // R, R, n)`` is a transaction-major block of R
-    replicas.  One ``Generator`` is the case R = 1.  Each replica's rows are
-    the next rows of its own stream, so two consecutive calls for ``a`` and
-    ``b`` rows per replica return the rows of one call for ``a + b``: the
-    block sizes of the caller change no draw.
+    (one per replica), and ``count`` must be a multiple of R: with
+    m = count // R, rows ``k*m`` to ``(k+1)*m - 1`` of a result are generator
+    k's next rows in its stream order, so ``reshape(R, m, n)`` is a
+    replica-major block of R replicas.  One ``Generator`` is the case R = 1.
+    Two consecutive calls for ``a`` and ``b`` rows per replica return the
+    rows of one call for ``a + b``: the block sizes of the caller change no
+    draw.
     """
 
     kind: ClassVar[str] = ""
@@ -228,17 +230,15 @@ class NoiseBackground:
         sq *= sq
         totals = sq.sum(axis=1)
         if not totals.all():
-            rngs = _generators(rng, count)
-            by_replica = sq.reshape(-1, len(rngs), n)
-            for k, g in enumerate(rngs):
-                by_replica[:, k] = _top_up(
-                    by_replica[:, k],
-                    lambda rows: rows.any(axis=1),
-                    lambda m: np.square(self.sample_raw(m, n, g)),
-                    DegenerateInputError(
-                        f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
-                    ),
-                )
+            _top_up(
+                sq,
+                _generators(rng, count),
+                lambda rows: rows.any(axis=1),
+                lambda g, m: np.square(self.sample_raw(m, n, g)),
+                DegenerateInputError(
+                    f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
+                ),
+            )
             totals = sq.sum(axis=1)
         sq /= totals[:, None]
         return sq
@@ -258,40 +258,34 @@ def _generators(rng: _Rngs, count: int) -> Sequence[np.random.Generator]:
     return rngs
 
 
-def _top_up(
-    items: np.ndarray,
-    usable: Callable[[np.ndarray], np.ndarray],
-    draw: Callable[[int], np.ndarray],
-    error: Exception,
-) -> np.ndarray:
-    # The first len(items) usable items of one replica's stream, in order:
-    # each sweep keeps the items ``usable`` marks and appends
-    # ``draw(missing)``, the stream's next items, so the result does not
-    # depend on how a caller splits its rows into calls.
-    for _ in range(_MAX_REJECTION_SWEEPS):
-        keep = usable(items)
-        if keep.all():
-            return items
-        items = np.concatenate((items[keep], draw(len(keep) - np.count_nonzero(keep))))
-    if not usable(items).all():
-        raise error
-    return items
+def _top_up(block: np.ndarray, rngs: Sequence[np.random.Generator], usable: Callable,
+            draw: Callable, error: Exception) -> None:
+    # Refills ``block`` in place so that generator k's slab, the k-th of
+    # len(rngs) equal runs of its items, holds the first usable items of that
+    # generator's stream in order: each sweep keeps the items ``usable`` marks
+    # and appends ``draw(g, missing)``, the stream's next items, so the result
+    # does not depend on how a caller splits its rows into calls.
+    m = len(block) // len(rngs)
+    for k, g in enumerate(rngs):
+        items = slab = block[k * m : (k + 1) * m]  # a view, whatever block's layout
+        for _ in range(_MAX_REJECTION_SWEEPS):
+            keep = usable(items)
+            if keep.all():
+                break
+            items = np.concatenate((items[keep], draw(g, len(keep) - np.count_nonzero(keep))))
+        else:
+            if not usable(items).all():
+                raise error
+        slab[...] = items
 
 
-def _interleave(
-    count: int,
-    n: int,
-    rngs: Sequence[np.random.Generator],
-    fill: Callable[[np.random.Generator, np.ndarray], object],
-) -> np.ndarray:
-    # A (count, n) block whose row i is drawn from generator rngs[i % R]:
-    # ``fill(g, slab)`` draws g's next rows into its own C-contiguous
-    # (count // R, n) slab, as numpy's ``out=`` requires, and one reshape
-    # interleaves the slabs: a view of them when R = 1, one copy when R > 1.
-    slabs = np.empty((len(rngs), count // len(rngs), n))
-    for g, slab in zip(rngs, slabs):
+def _draw(count: int, n: int, rngs: Sequence[np.random.Generator], fill: Callable) -> np.ndarray:
+    # A (count, n) block of len(rngs) slabs of consecutive rows: ``fill(g, slab)``
+    # draws generator g's next rows into its C-contiguous slab, as ``out=`` requires.
+    block = np.empty((count, n))
+    for g, slab in zip(rngs, block.reshape(len(rngs), -1, n)):
         fill(g, slab)
-    return slabs.transpose(1, 0, 2).reshape(count, n)
+    return block
 
 
 @dataclass(frozen=True)
@@ -301,7 +295,7 @@ class UniformBackground(NoiseBackground):
     kind: ClassVar[str] = "uniform"
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
-        return _interleave(count, n, _generators(rng, count), lambda g, out: g.random(out=out))
+        return _draw(count, n, _generators(rng, count), lambda g, out: g.random(out=out))
 
 
 def _normal_cdf(t: float) -> float:
@@ -342,21 +336,20 @@ class GaussianBackground(NoiseBackground):
         # sigma).  The range is checked once for the whole block; only a
         # replica with a draw out of range is redone, on its own stream.
         rngs = _generators(rng, count)
-        u = _interleave(count, n, rngs, lambda g, out: g.standard_normal(out=out))
+        u = _draw(count, n, rngs, lambda g, out: g.standard_normal(out=out))
         u *= self.sigma
         u += self.mean
         if u.min(initial=0.0) < 0.0 or u.max(initial=1.0) > 1.0:
-            by_replica = u.reshape(-1, len(rngs), n)
-            for k, g in enumerate(rngs):
-                by_replica[:, k] = _top_up(
-                    by_replica[:, k].ravel(),
-                    lambda v: (v >= 0.0) & (v <= 1.0),
-                    lambda m: g.normal(self.mean, self.sigma, m),
-                    ParameterError(
-                        "rejection sampling into [0, 1] failed to terminate; "
-                        "background keeps too little mass in range"
-                    ),
-                ).reshape(-1, n)
+            _top_up(
+                u.reshape(-1),
+                rngs,
+                lambda v: (v >= 0.0) & (v <= 1.0),
+                lambda g, m: g.normal(self.mean, self.sigma, m),
+                ParameterError(
+                    "rejection sampling into [0, 1] failed to terminate; "
+                    "background keeps too little mass in range"
+                ),
+            )
         return u
 
 
@@ -478,18 +471,18 @@ def _total(wealth: np.ndarray) -> float:
     return total
 
 
-def _step_kernel(
-    lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray, pool: np.ndarray
-) -> None:
+def _step_kernel(lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray,
+                 pool: np.ndarray, gain: np.ndarray) -> None:
     # Shared by step() and the trajectory loop so both routes are bit-identical.
     # x is one state (n,) or a stack (R, n), updated in place to
-    # lam * x + eps * pool; eps is overwritten and pool, of shape x.shape[:-1]
-    # + (1, 1), receives the released wealth.  The stacked matmul takes the
-    # same per-row dot as ``release @ x``, where ``x @ release`` would not.
+    # lam * x + eps * pool.  pool, of shape x.shape[:-1] + (1, 1), receives
+    # the released wealth and gain, of x's shape, eps * pool; eps is only read.
+    # The stacked matmul takes the same per-row dot as ``release @ x``, where
+    # ``x @ release`` would not.
     np.matmul(x[..., None, :], release[:, None], out=pool)
-    eps *= pool[..., 0]
+    np.multiply(eps, pool[..., 0], out=gain)
     x *= lam
-    x += eps
+    x += gain
 
 
 def step(
@@ -501,13 +494,13 @@ def step(
     entry is non-negative.
     """
     x = state.wealth
-    eps = _array(epsilon, "share entry", 0, 1)  # a new array: the kernel overwrites it
+    eps = _array(epsilon, "share entry", 0, 1)  # a new array, so it can hold the gain
     if len(params) != x.size or eps.shape != x.shape:
         raise ParameterError("state, params and shares must have equal length")
     total = _total(x)
     lam = np.array([p.lam for p in params])
     new = x.copy()
-    _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)))
+    _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)), eps)
     _drift(np.array([[new.sum()]]), total, state.transaction_index + 1, "single step: ")
     return WealthState(state.transaction_index + 1, new)
 
@@ -610,30 +603,32 @@ def _evolve(
     rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
-    # Bytes per block row that _BLOCK_BYTES bounds while a block is stepped,
-    # float64 but for the mask: the shares (replicas, n), normalized in place
-    # as one block for all replicas; their totals (replicas,); the row sums
-    # (replicas,), reused in place by the drift check; the drift and its mask.
-    # One block is alive at a time.  Drawing a block for replicas > 1 briefly
-    # holds its raw draws twice, in the interleaving copy; a rejected Gaussian
-    # draw or an all-zero raw row briefly adds compacted copies of one replica's rows.
+    # Bytes per block row that _BLOCK_BYTES bounds, float64 but for the mask:
+    # the shares (replicas, n), drawn and normalized in place as one block in
+    # which each replica's rows are its generator's slab; their totals
+    # (replicas,); the row sums (replicas,), reused in place by the drift
+    # check; the drift and its mask.  One block is alive at a time; a block
+    # is at least one row, so a row past the budget overruns it.  A rejected
+    # Gaussian draw or an all-zero raw row briefly adds compacted copies of
+    # one replica's rows.
     row_bytes = 8 * replicas * (n + 2) + 9
     per_block = max(1, _BLOCK_BYTES // row_bytes)
     sums = np.empty((min(per_block, transactions), replicas))
     pool = np.empty((replicas, 1, 1))
+    gain = np.empty_like(x)
     for done in range(0, transactions, per_block):
         todo = min(per_block, transactions - done)
         eps = sample_epsilon_matrix(background, replicas * todo, n, rngs)
-        eps = eps.reshape(todo, replicas, n)
+        eps = eps.reshape(replicas, todo, n)
         c = 0  # records taken in this block
         for j in range(todo):
-            _step_kernel(lam_rows, release, x, eps[j], pool)
+            _step_kernel(lam_rows, release, x, eps[:, j], pool, gain)
             x.sum(axis=1, out=sums[j])
             if done + j + 1 == marks[r + c]:
-                eps[c] = x  # row c <= j is spent
+                eps[:, c] = x  # row c <= j is spent
                 c += 1
         if c:
-            rows[r : r + c] = reduce(eps[:c])
+            rows[r : r + c] = reduce(eps[:, :c].swapaxes(0, 1))
             r += c
         del eps  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of

@@ -190,18 +190,19 @@ def concordance(
     background's induced mean share, which replaces ``p.epsilon``.  The
     reported deviation is max over m of |mean_x(m) - x_det(m)| / total wealth.
     """
-    eps_det = induced_epsilon_mean(background, n=2)
-    det = TwoEconomyParams(p.lambda_x, p.lambda_y, eps_det, p.x0, p.y0)
-    x_det, _ = evaluate_series(closed_form(det), transactions)
-
     lam = np.array([p.lambda_x, p.lambda_y])
     x0 = np.array([p.x0, p.y0])
-    # A running sum in replica order; a pairwise x[:, 0].sum() rounds differently.
+    # The run comes first, so its own checks refuse bad replica, transaction
+    # and seed values.  A running sum in replica order; a pairwise
+    # x[:, 0].sum() rounds differently.
     indices, sums, max_drift = _evolve(
         lam, x0, background, transactions, base_seed, replicas, 1,
         lambda s: np.cumsum(s[:, :, 0], axis=1)[:, -1],
     )
     mean_x = sums / replicas
+    eps_det = induced_epsilon_mean(background, n=2)
+    det = TwoEconomyParams(p.lambda_x, p.lambda_y, eps_det, p.x0, p.y0)
+    x_det, _ = evaluate_series(closed_form(det), transactions)
 
     w = float(x0.sum())
     dev = float(np.abs(mean_x - x_det).max() / w) if w > 0.0 else 0.0

@@ -446,7 +446,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[-1][0] == "60"
 
 
-def test_invalid_config_exits_one(tmp_path):
+def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"agents": 4, "no_such_key": 1}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
@@ -552,6 +552,11 @@ def test_invalid_config_exits_one(tmp_path):
     assert not (tmp_path / "q").exists()
     assert main(["concordance", "--replicas", "0", "--out", str(tmp_path / "p")]) == 1
     assert not (tmp_path / "p").exists()
+    # concordance checks its run before it solves, with the message of simulate
+    capsys.readouterr()
+    assert main(["concordance", "--transactions", "-5", "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == "wealthsim: config error: transactions must be >= 1, got -5\n"
+    assert not (tmp_path / "m").exists()
     # a run that fails, before or after stepping, writes nothing
     for i, bad_run in enumerate(
         [

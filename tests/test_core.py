@@ -269,7 +269,7 @@ REPLICA_BACKGROUNDS = {
 
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
-def test_generator_sequence_interleaves_one_generator_calls(name):
+def test_generator_sequence_stacks_one_generator_calls(name):
     bg = REPLICA_BACKGROUNDS[name]
     n = 3
     seeds = (3, 2**64 - 1, 40)
@@ -277,7 +277,7 @@ def test_generator_sequence_interleaves_one_generator_calls(name):
         alone = [ws.sample_epsilon_matrix(bg, m, n, ws.make_rng(s)) for s in seeds]
         rngs = [ws.make_rng(s) for s in seeds]
         got = ws.sample_epsilon_matrix(bg, len(seeds) * m, n, rngs)
-        assert np.array_equal(got, np.stack(alone, axis=1).reshape(-1, n))
+        assert np.array_equal(got, np.concatenate(alone))
         # Each generator advanced exactly as its one-generator call did.
         follow = ws.sample_epsilon_matrix(bg, len(seeds), n, rngs)
         for k, s in enumerate(seeds):
@@ -287,7 +287,7 @@ def test_generator_sequence_interleaves_one_generator_calls(name):
     rngs = [ws.make_rng(s) for s in seeds]
     raw = bg.sample_raw(len(seeds) * 20, n, rngs)
     alone = [bg.sample_raw(20, n, ws.make_rng(s)) for s in seeds]
-    assert np.array_equal(raw, np.stack(alone, axis=1).reshape(-1, n))
+    assert np.array_equal(raw, np.concatenate(alone))
 
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
@@ -304,29 +304,36 @@ def test_generator_sequence_must_divide_count(name):
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
 def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
-    # Blocks of many rows, of a few rows and of one row; row k of a
-    # multi-replica run is the one-replica run at seed + k, wrapping past 2**64 - 1.
-    bg = REPLICA_BACKGROUNDS[name]
-    lam = np.array([0.9, 0.5, 0.75])
-    wealth = np.array([10.0, 200.0, 35.0])
+    # Blocks of many rows, of a few rows and of one row, for one to five
+    # replicas of one or three agents; row k of a multi-replica run is the
+    # one-replica run at seed + k, wrapping past 2**64 - 1.
     seed = ws.MAX_SEED - 1
+    replica_counts = (1, 2, 3, 5)
+    for n in (1, 3):
+        bg = REPLICA_BACKGROUNDS[name]
+        if name == "constant" and n == 1:
+            bg = ws.ConstantBackground(np.array([1.0]))
+        lam = np.array([0.9, 0.5, 0.75])[:n]
+        wealth = np.array([10.0, 200.0, 35.0])[:n]
 
-    def run(replicas, seed):
-        return _evolve(lam, wealth, bg, 700, seed, replicas, 9, lambda s: s.copy())
+        def run(replicas, seed):
+            return _evolve(lam, wealth, bg, 700, seed, replicas, 9, lambda s: s.copy())
 
-    by_budget = []
-    for budget in (512 * 1024, 64 * 1024, 4 * 1024, 1):
-        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
-        by_budget.append([run(1, seed), run(3, seed)])
-    for runs in by_budget[1:]:
-        for (indices, rows, drift), (ref_indices, ref_rows, ref_drift) in zip(runs, by_budget[0]):
-            assert np.array_equal(indices, ref_indices)
-            assert np.array_equal(rows, ref_rows)
-            assert drift == ref_drift
-    indices, rows, _ = by_budget[0][1]
-    assert rows.shape == (indices.size, 3, 3)
-    for k in range(3):
-        assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
+        by_budget = []
+        for budget in (512 * 1024, 64 * 1024, 4 * 1024, 1):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+            by_budget.append([run(r, seed) for r in replica_counts])
+        for runs in by_budget[1:]:
+            for (indices, rows, drift), (ref_indices, ref_rows, ref_drift) in zip(
+                runs, by_budget[0]
+            ):
+                assert np.array_equal(indices, ref_indices)
+                assert np.array_equal(rows, ref_rows)
+                assert drift == ref_drift
+        for replicas, (indices, rows, _) in zip(replica_counts, by_budget[0]):
+            assert rows.shape == (indices.size, replicas, n)
+            for k in range(replicas):
+                assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
 
 
 def test_wide_trajectory_samples_in_small_blocks():
@@ -348,8 +355,7 @@ def test_wide_trajectory_samples_in_small_blocks():
     ids=["uniform", "gaussian", "rejecting-gaussian"],
 )
 def test_many_replica_trajectories_sample_in_small_blocks(background):
-    # Eight replicas share one block budget; interleaving their draws copies
-    # the raw block once while it is drawn.
+    # Eight replicas share one block budget.
     params = ws.make_agents(1000, 0.9, 100.0)
     ws.variance_trajectory(params, background, 1, 1, 1, replicas=8)  # lazy numpy imports
     tracemalloc.start()
@@ -358,7 +364,7 @@ def test_many_replica_trajectories_sample_in_small_blocks(background):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("background", [ws.UniformBackground(), ws.GaussianBackground()])

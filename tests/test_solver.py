@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wealthsim as ws
+from wealthsim import solver
 
 
 REF = ws.TwoEconomyParams(0.95, 0.8, 0.51, 1000.0, 2000.0)
@@ -328,6 +329,16 @@ def test_concordance_mean_matches_single_replica_runs():
 def test_concordance_rejects_zero_replicas():
     with pytest.raises(ws.ParameterError):
         ws.concordance(REF, ws.GaussianBackground(), replicas=0, transactions=10, base_seed=1)
+
+
+def test_concordance_checks_its_run_before_it_solves(monkeypatch):
+    # The closed form builds its series, of a million rows here, only for a run
+    # that the engine accepts.
+    calls = []
+    monkeypatch.setattr(solver, "evaluate_series", lambda *args: calls.append(args))
+    with pytest.raises(ws.ParameterError, match="replicas must be >= 1"):
+        ws.concordance(REF, ws.GaussianBackground(), replicas=0, transactions=10**6, base_seed=1)
+    assert not calls
 
 
 def test_concordance_single_replica_sanity_bound():
