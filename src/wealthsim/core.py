@@ -198,8 +198,9 @@ def validate_epsilon(values: Sequence[float] | np.ndarray) -> np.ndarray:
 class NoiseBackground:
     """Distribution of the raw draws behind each transaction's share vector.
 
-    Sampling takes ``rng`` as one ``Generator`` or a sequence of R generators
-    (one per replica), and ``count`` must be a multiple of R: with
+    Sampling takes integers ``count`` and ``n`` >= 1, and ``rng`` as one
+    ``Generator`` or a list or tuple of R generators (one per replica), and
+    ``count`` must be a multiple of R (else ``ParameterError``): with
     m = count // R, rows ``k*m`` to ``(k+1)*m - 1`` of a result are generator
     k's next rows in its stream order, so ``reshape(R, m, n)`` is a
     replica-major block of R replicas.  One ``Generator`` is the case R = 1.
@@ -226,13 +227,14 @@ class NoiseBackground:
         own stream, so each replica gets the first usable rows of its stream
         in order and stays split-invariant.
         """
+        rngs = _generators(rng, count, n)
         sq = self.sample_raw(count, n, rng)
         sq *= sq
         totals = sq.sum(axis=1)
         if not totals.all():
             _top_up(
                 sq,
-                _generators(rng, count),
+                rngs,
                 lambda rows: rows.any(axis=1),
                 lambda g, m: np.square(self.sample_raw(m, n, g)),
                 DegenerateInputError(
@@ -248,34 +250,39 @@ class NoiseBackground:
         return 1.0 / _integer(n, "n", 1)
 
 
-def _generators(rng: _Rngs, count: int) -> Sequence[np.random.Generator]:
-    # The generators of a sampling call; ``count`` must split evenly among them.
+def _generators(rng: _Rngs, count: int, n: int) -> Sequence[np.random.Generator]:
+    # The generators of a sampling call, and its one argument check: ``count``
+    # and ``n`` are integers >= 1 and ``count`` splits evenly among the
+    # generators; the entries of a list or tuple are not type-checked.
+    count, _ = _integer(count, "count", 1), _integer(n, "n", 1)
     rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
-    if not len(rngs) or count % len(rngs):
-        raise ParameterError(
-            f"count ({count}) must be a multiple of the number of generators ({len(rngs)})"
-        )
+    if not isinstance(rngs, (list, tuple)):
+        raise ParameterError(f"rng must be a Generator or a list or tuple of them, got {rng!r}")
+    if not rngs or count % len(rngs):
+        raise ParameterError(f"count ({count}) must be a multiple of len(rng), {len(rngs)}")
     return rngs
 
 
 def _top_up(block: np.ndarray, rngs: Sequence[np.random.Generator], usable: Callable,
             draw: Callable, error: Exception) -> None:
     # Refills ``block`` in place so that generator k's slab, the k-th of
-    # len(rngs) equal runs of its items, holds the first usable items of that
-    # generator's stream in order: each sweep keeps the items ``usable`` marks
-    # and appends ``draw(g, missing)``, the stream's next items, so the result
-    # does not depend on how a caller splits its rows into calls.
-    m = len(block) // len(rngs)
-    for k, g in enumerate(rngs):
+    # len(rngs) equal runs of its items, holds the first usable items of its
+    # stream in order.  Only the slabs in which one ``usable`` mask of the whole
+    # block refuses an item are swept: each sweep keeps the items ``usable``
+    # marks and appends ``draw(g, missing)``, the stream's next items, so the
+    # result does not depend on how a caller splits its rows into calls.
+    masks = usable(block).reshape(len(rngs), -1)
+    m = masks.shape[1]
+    for k in np.flatnonzero(~masks.all(axis=1)):
         items = slab = block[k * m : (k + 1) * m]  # a view, whatever block's layout
+        keep = masks[k]
         for _ in range(_MAX_REJECTION_SWEEPS):
+            items = np.concatenate((items[keep], draw(rngs[k], m - np.count_nonzero(keep))))
             keep = usable(items)
             if keep.all():
                 break
-            items = np.concatenate((items[keep], draw(g, len(keep) - np.count_nonzero(keep))))
         else:
-            if not usable(items).all():
-                raise error
+            raise error
         slab[...] = items
 
 
@@ -295,7 +302,7 @@ class UniformBackground(NoiseBackground):
     kind: ClassVar[str] = "uniform"
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
-        return _draw(count, n, _generators(rng, count), lambda g, out: g.random(out=out))
+        return _draw(count, n, _generators(rng, count, n), lambda g, out: g.random(out=out))
 
 
 def _normal_cdf(t: float) -> float:
@@ -333,9 +340,9 @@ class GaussianBackground(NoiseBackground):
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         # Scaling standard_normal draws gives the bits of rng.normal(mean,
-        # sigma).  The range is checked once for the whole block; only a
-        # replica with a draw out of range is redone, on its own stream.
-        rngs = _generators(rng, count)
+        # sigma).  The range is checked once for the whole block; only the
+        # slab of a replica with a draw out of range is redone, on its own stream.
+        rngs = _generators(rng, count, n)
         u = _draw(count, n, rngs, lambda g, out: g.standard_normal(out=out))
         u *= self.sigma
         u += self.mean
@@ -375,6 +382,7 @@ class ConstantBackground(NoiseBackground):
             )
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
+        _generators(rng, count, n)
         self._check_size(n)
         return np.broadcast_to(self.epsilon, (count, n)).copy()
 
@@ -443,8 +451,8 @@ def sample_epsilon_matrix(
     ``NoiseBackground.shares``); constant backgrounds return their stored
     shares directly.
     """
-    count, n = _integer(count, "count", 1), _integer(n, "n", 1)
-    _generators(rng, count)
+    if not isinstance(background, NoiseBackground):
+        raise ParameterError(f"background must be a NoiseBackground, got {background!r}")
     return background.shares(count, n, rng)
 
 
@@ -609,8 +617,8 @@ def _evolve(
     # (replicas,); the row sums (replicas,), reused in place by the drift
     # check; the drift and its mask.  One block is alive at a time; a block
     # is at least one row, so a row past the budget overruns it.  A rejected
-    # Gaussian draw or an all-zero raw row briefly adds compacted copies of
-    # one replica's rows.
+    # Gaussian draw or an all-zero raw row briefly adds a mask of the block
+    # and compacted copies of one replica's rows.
     row_bytes = 8 * replicas * (n + 2) + 9
     per_block = max(1, _BLOCK_BYTES // row_bytes)
     sums = np.empty((min(per_block, transactions), replicas))

@@ -255,32 +255,24 @@ def compare_backgrounds(
     pre-transaction snapshot is not a dynamics outcome and would skew the
     first detection window.
     """
-    bg_a = UniformBackground() if background_a is None else background_a
-    bg_b = GaussianBackground() if background_b is None else background_b
+    def arm(background: NoiseBackground) -> tuple:
+        # indices, variance, replica variances, ensemble, convergence, replica convergence, drift
+        indices, series, drift = variance_trajectory(
+            params, background, transactions, base_seed, record_every, replicas
+        )
+        tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
+        rep_var = [float(v[-tail:].mean()) for v in series]
+        ens = np.mean(series, axis=0)
+        conv = [detect_equilibrium(np.column_stack((indices[1:], v[1:]))) for v in (ens, *series)]
+        return (indices, float(np.mean(rep_var)), rep_var, ens, conv[0],
+                [c.equilibrium_index for c in conv[1:]], drift)
 
-    indices, series_a, da = variance_trajectory(
-        params, bg_a, transactions, base_seed, record_every, replicas
+    indices, var_a, rep_var_a, ens_a, conv_a, rep_conv_a, da = arm(
+        UniformBackground() if background_a is None else background_a
     )
-    _, series_b, db = variance_trajectory(
-        params, bg_b, transactions, base_seed, record_every, replicas
+    _, var_b, rep_var_b, ens_b, conv_b, rep_conv_b, db = arm(
+        GaussianBackground() if background_b is None else background_b
     )
-
-    tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
-    rep_var_a = [float(v[-tail:].mean()) for v in series_a]
-    rep_var_b = [float(v[-tail:].mean()) for v in series_b]
-    var_a = float(np.mean(rep_var_a))
-    var_b = float(np.mean(rep_var_b))
-
-    ens_a = np.mean(series_a, axis=0)
-    ens_b = np.mean(series_b, axis=0)
-
-    def detect(values: np.ndarray) -> ConvergenceReport:
-        return detect_equilibrium(np.column_stack((indices[1:], values[1:])))
-
-    conv_a = detect(ens_a)
-    conv_b = detect(ens_b)
-    rep_conv_a = [detect(v).equilibrium_index for v in series_a]
-    rep_conv_b = [detect(v).equilibrium_index for v in series_b]
 
     reduction = (var_a - var_b) / var_a if var_a > 0.0 else 0.0
     return ComparisonResult(

@@ -724,6 +724,13 @@ def test_agent_params_validation():
     assert ws.AgentParams(np.float32(0.5), 3) == ws.AgentParams(0.5, 3.0)
 
 
+# Neither a numpy Generator nor a list or tuple of them.
+_NOT_RNGS = (None, 7, np.random.RandomState(1))
+
+# Not a NoiseBackground instance.
+_NOT_BACKGROUNDS = (None, "gaussian", {"kind": "uniform"}, ws.UniformBackground)
+
+
 @pytest.mark.parametrize(
     "func, args",
     [
@@ -786,6 +793,28 @@ def test_agent_params_validation():
         (ws.UniformBackground().mean_share, (2.5,)),
         (ws.UniformBackground().mean_share, (True,)),
         (ws.ConstantBackground([1.0]).mean_share, (True,)),
+        # a sampling call checks its count, n and rng before it draws; the
+        # constant background checked n against its share count already
+        *[(sample, (count, n, rng))
+          for bg in (ws.UniformBackground(), ws.GaussianBackground(),
+                     ws.ConstantBackground([0.5, 0.5]))
+          for sample in (bg.sample_raw, bg.shares)
+          for count, n, rng in [(c, 2, ws.make_rng(0)) for c in (0, -1, True, 2.0)]
+          + [(2, v, ws.make_rng(0)) for v in (0, True) if bg.kind != "constant"]
+          + [(2, 2, r) for r in _NOT_RNGS]],
+        *[(ws.sample_epsilon_matrix, (ws.UniformBackground(), 2, 2, r)) for r in _NOT_RNGS],
+        # a run refuses what is not a background; compare_backgrounds takes
+        # None for its default arm
+        *[(run, args)
+          for bad in _NOT_BACKGROUNDS
+          for run, args in (
+              (ws.run_trajectory, (ref_params(), bad, 5, 1)),
+              (ws.variance_trajectory, (ref_params(), bad, 5, 1, 1)),
+              (ws.concordance, (ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000, 2000), bad, 2, 5, 1)),
+              (ws.sample_epsilon_matrix, (bad, 2, 2, ws.make_rng(0))),
+          )],
+        *[(lambda *a, bad=bad: ws.compare_backgrounds(*a, background_a=bad),
+           (ref_params(), 5, 2, 1)) for bad in _NOT_BACKGROUNDS[1:]],
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
