@@ -28,6 +28,7 @@ vector.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence, Union
@@ -214,9 +215,10 @@ class NoiseBackground:
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         """Return a freshly allocated (count, n) array of raw draws in [0, 1].
 
-        ``shares`` normalizes the array in place.
+        ``shares`` normalizes the array in place.  A background class must
+        define it; the base class refuses with ``ParameterError``.
         """
-        raise NotImplementedError
+        raise ParameterError(f"{type(self).__name__} defines no sample_raw to draw from")
 
     def shares(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
         """Return ``count`` share vectors of length n as the rows of a matrix.
@@ -481,10 +483,12 @@ def _total(wealth: np.ndarray) -> float:
 
 def _step_kernel(lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray,
                  pool: np.ndarray, gain: np.ndarray) -> None:
-    # Shared by step() and the trajectory loop so both routes are bit-identical.
-    # x is one state (n,) or a stack (R, n), updated in place to
-    # lam * x + eps * pool.  pool, of shape x.shape[:-1] + (1, 1), receives
-    # the released wealth and gain, of x's shape, eps * pool; eps is only read.
+    # Shared by step() and the trajectory loop of per-agent lam, so those two
+    # routes are bit-identical; at one lam the loop steps a constant pool and
+    # agrees with step() to rounding.  x is one state (n,) or a stack (R, n),
+    # updated in place to lam * x + eps * pool.  pool, of shape
+    # x.shape[:-1] + (1, 1), receives the released wealth and gain, of x's
+    # shape, eps * pool; eps is only read.
     # The stacked matmul takes the same per-row dot as ``release @ x``, where
     # ``x @ release`` would not.
     np.matmul(x[..., None, :], release[:, None], out=pool)
@@ -582,12 +586,20 @@ def _evolve(
     recorded at transaction 0, every ``record_every`` transactions, and at
     the end; ``record_every=None`` is ``max(1, transactions // 10_000)``,
     which keeps about 10,000 records.  ``reduce`` maps a ``(c, replicas, n)``
-    stack of recorded states to c result rows; the stack lives in share rows
-    the block has spent, which the next block overwrites, so ``reduce`` must
-    not keep a view of it.  Returns the int64 record indices, the result rows stacked
-    in record order, and the max relative drift of any replica's total
-    wealth; raises ``ConservationError`` after a block that ends with
-    negative wealth or in which drift passed tolerance.
+    stack of recorded states to c result rows, once per sampling block; the
+    stack may live in the block's share rows, which the next block
+    overwrites, so ``reduce`` must not keep a view of it.  Returns the int64
+    record indices, the result rows stacked in record order, and the max
+    relative drift of any replica's total wealth; raises
+    ``ConservationError`` after a block that ends with negative wealth or in
+    which drift passed tolerance.
+
+    When every entry of ``lam`` is equal, the pool is the constant
+    ``(1 - lam) * W`` for the initial total W, and the result agrees with
+    ``step`` to rounding, which the contraction by lam keeps from growing;
+    per-agent lam steps bit for bit as ``step`` does.  Either way each state
+    depends only on the one before it, so no result depends on the block
+    size or the replica count.
     """
     transactions = _integer(transactions, "transactions", 1)
     if record_every is None:
@@ -602,6 +614,9 @@ def _evolve(
         raise ParameterError("need at least one agent")
     release = 1.0 - lam
     total = _total(x0)
+    # At one lam the pool is the constant (1 - lam) * total, so each step is
+    # the filter x' = lam * x + eps * fixed_pool; else it is summed per step.
+    fixed_pool = (1.0 - lam[0]) * total if (lam == lam[0]).all() else None
     max_drift = 0.0
     x = np.tile(x0, (replicas, 1))
     lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
@@ -628,17 +643,33 @@ def _evolve(
         todo = min(per_block, transactions - done)
         eps = sample_epsilon_matrix(background, replicas * todo, n, rngs)
         eps = eps.reshape(replicas, todo, n)
-        c = 0  # records taken in this block
-        for j in range(todo):
-            _step_kernel(lam_rows, release, x, eps[:, j], pool, gain)
-            x.sum(axis=1, out=sums[j])
-            if done + j + 1 == marks[r + c]:
-                eps[:, c] = x  # row c <= j is spent
-                c += 1
+        if fixed_pool is None:
+            c = 0  # records taken in this block
+            for j in range(todo):
+                _step_kernel(lam_rows, release, x, eps[:, j], pool, gain)
+                x.sum(axis=1, out=sums[j])
+                if done + j + 1 == marks[r + c]:
+                    eps[:, c] = x  # row c <= j is spent
+                    c += 1
+            taken = eps[:, :c]
+        else:
+            # Each state overwrites the share row it was stepped from, so
+            # row j ends as the state after transaction done + j + 1.
+            eps *= fixed_pool
+            prev = x
+            for row in eps.swapaxes(0, 1):
+                np.multiply(prev, lam_rows, out=gain)
+                np.add(row, gain, out=row)
+                prev = row
+            del prev, row  # a view would keep this block alive through the next draw
+            x[...] = eps[:, -1]
+            eps.sum(axis=2, out=sums[:todo].T)
+            c = bisect.bisect_right(marks, done + todo, r) - r
+            taken = eps[:, indices[r : r + c] - (done + 1)]
         if c:
-            rows[r : r + c] = reduce(eps[:, :c].swapaxes(0, 1))
+            rows[r : r + c] = reduce(taken.swapaxes(0, 1))
             r += c
-        del eps  # the next block is drawn with this one freed
+        del eps, taken  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).

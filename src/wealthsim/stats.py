@@ -169,12 +169,17 @@ def detect_equilibrium(
 
     need = window + 1  # first quiet position plus one full confirming window
     if below.size >= need:
-        runs = np.convolve(below.astype(np.int64), np.ones(need, dtype=np.int64), "valid")
-        hits = np.flatnonzero(runs == need)
+        hits = np.flatnonzero(_window_counts(below, need) == need)
         if hits.size:
             pos = window + int(hits[0])
             return ConvergenceReport(True, int(round(idx[pos])), window, tolerance, final_variance)
     return ConvergenceReport(False, None, window, tolerance, final_variance)
+
+
+def _window_counts(flags: np.ndarray, width: int) -> np.ndarray:
+    # The number of true entries in each window flags[j:j+width], in O(flags.size).
+    counts = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+    return counts[width:] - counts[:-width]
 
 
 def variance_trajectory(

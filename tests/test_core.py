@@ -336,6 +336,46 @@ def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
                 assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
+def test_one_lam_evolve_matches_repeated_step(name, lam, monkeypatch):
+    # At one lam _evolve steps x' = lam * x + (1 - lam) * W * eps for the
+    # initial total W, while step() pools each state's released wealth; the two
+    # agree to rounding, which the contraction by lam keeps from growing.
+    bg = REPLICA_BACKGROUNDS[name]
+    wealth = np.array([10.0, 200.0, 35.0])
+    n, seed, transactions = wealth.size, 11, 300
+    params = ws.make_agents(n, lam, wealth)
+    for replicas in (1, 3):
+        stepped = []
+        for k in range(replicas):
+            state, states = ws.WealthState(0, wealth), [wealth]
+            for eps in ws.sample_epsilon_matrix(bg, transactions, n, ws.make_rng(seed + k)):
+                state = ws.step(state, params, eps)
+                states.append(state.wealth)
+            stepped.append(states)
+        stepped = np.array(stepped).swapaxes(0, 1)  # (transactions + 1, replicas, n)
+        for budget in (512 * 1024, 4 * 1024, 1):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+            indices, rows, _ = _evolve(np.full(n, lam), wealth, bg, transactions, seed,
+                                       replicas, 7, lambda s: s.copy())
+            np.testing.assert_allclose(rows, stepped[indices], rtol=1e-12, atol=0)
+            if lam == 1.0:
+                assert (rows == wealth).all()
+
+
+def test_a_background_without_sample_raw_is_refused_by_name():
+    class _Bare(ws.NoiseBackground):
+        pass
+
+    for bg in (ws.NoiseBackground(), _Bare()):
+        name = type(bg).__name__
+        with pytest.raises(ws.ParameterError, match=f"^{name} defines no sample_raw"):
+            bg.sample_raw(5, 2, ws.make_rng(1))
+        with pytest.raises(ws.ParameterError, match=f"^{name} defines no sample_raw"):
+            ws.run_trajectory(ws.make_agents(2, 0.5, 1.0), bg, 5, 1)
+
+
 def test_wide_trajectory_samples_in_small_blocks():
     # A 2000-row block at n=1000 would be 16 MB of shares alone.
     params = ws.make_agents(1000, 0.9, 100.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import wealthsim as ws
+from wealthsim.stats import _window_counts
 
 
 # ----------------------------------------------------------------- histogram
@@ -226,6 +227,20 @@ def test_detect_matches_scan_on_noisy_series():
         expected = scan_equilibrium(idx, vals, w, 5e-3)
         assert rep.equilibrium_index == expected
         assert rep.converged == (expected is not None)
+
+
+def test_window_counts_match_a_convolution():
+    # The run counts detect_equilibrium tests for a full quiet window.
+    rng = ws.make_rng(2020)
+    for _ in range(200):
+        size = int(rng.integers(1, 300))
+        width = int(rng.integers(1, size + 1))
+        # Densities up to 1, so that some windows are all quiet.
+        flags = rng.random(size) < min(1.0, 1.2 * rng.random())
+        expected = np.convolve(flags.astype(np.int64), np.ones(width, np.int64), "valid")
+        got = _window_counts(flags, width)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------- comparison
