@@ -57,17 +57,18 @@ _Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
 _MAX_REJECTION_SWEEPS = 1000
 
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
-# are sized to this whatever the agent and replica counts, and one
-# ``sample_epsilon_matrix`` call draws the block for all replicas.  Sampling
-# streams are split-invariant, so the block size changes no result.
+# are sized to this whatever the agent, replica and arm counts, and one
+# ``sample_epsilon_matrix`` call draws an arm's block for all its replicas.
+# Sampling streams are split-invariant, so the block size changes no result.
 _BLOCK_BYTES = 512 * 1024
 
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
 # 1 + _MAX_REJECTION_SWEEPS tries, whichever replica's stream it is in, so a
 # call for one block of at most _BLOCK_BYTES // 8 draws (all replicas
 # together) runs out of sweeps with probability at most 1e-12.  A block is
-# never less than one row, so past 8 * R * (n + 2) + 9 bytes per row a call
-# draws R * n values, more than this bound assumes.
+# never less than one row, so past the row bytes of ``_evolve`` (8 * R *
+# (n + 2) + 9 for R replicas, more when staged) a call draws R * n values,
+# more than this bound assumes.
 _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJECTION_SWEEPS))
 
 
@@ -572,7 +573,7 @@ class Trajectory:
 def _evolve(
     lam: np.ndarray,
     wealth: np.ndarray,
-    background: NoiseBackground,
+    background: NoiseBackground | tuple[NoiseBackground, ...],
     transactions: int,
     seed: int,
     replicas: int,
@@ -581,32 +582,45 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Step ``replicas`` copies of the exchange law side by side and record them.
 
-    Replica k draws its shares from seed ``(seed + k) mod 2**64``; ``seed``
-    itself must lie in [0, 2**64 - 1].  The ``(replicas, n)`` state is
-    recorded at transaction 0, every ``record_every`` transactions, and at
-    the end; ``record_every=None`` is ``max(1, transactions // 10_000)``,
-    which keeps about 10,000 records.  ``reduce`` maps a ``(c, replicas, n)``
-    stack of recorded states to c result rows, once per sampling block; the
-    stack may live in the block's share rows, which the next block
-    overwrites, so ``reduce`` must not keep a view of it.  Returns the int64
-    record indices, the result rows stacked in record order, and the max
-    relative drift of any replica's total wealth; raises
-    ``ConservationError`` after a block that ends with negative wealth or in
-    which drift passed tolerance.
+    ``background`` is one background or a tuple of A arms, each run on its
+    own generators; replica k of every arm draws its shares from seed
+    ``(seed + k) mod 2**64``, and ``seed`` itself must lie in [0, 2**64 - 1].
+    The ``(A * replicas, n)`` state, arm-major (arm a's replica k is row
+    ``a * replicas + k``), is recorded at transaction 0, every
+    ``record_every`` transactions, and at the end; ``record_every=None`` is
+    ``max(1, transactions // 10_000)``, which keeps about 10,000 records.
+    ``reduce`` maps a ``(c, A * replicas, n)`` stack of recorded states to c
+    result rows, once per sampling block; the stack may live in the block's
+    share rows, which the next block overwrites, so ``reduce`` must not keep
+    a view of it.  Returns the int64 record indices, the result rows stacked
+    in record order, and the max relative drift of any replica's total
+    wealth; raises ``ConservationError`` after a block that ends with
+    negative wealth or in which drift passed tolerance.
 
     When every entry of ``lam`` is equal, the pool is the constant
     ``(1 - lam) * W`` for the initial total W, and the result agrees with
     ``step`` to rounding, which the contraction by lam keeps from growing;
     per-agent lam steps bit for bit as ``step`` does.  Either way each state
     depends only on the one before it, so no result depends on the block
-    size or the replica count.
+    size, the replica count or the other arms.
+
+    Runs of several arms, and one-lam runs of several replicas, copy each
+    block into a time-major stage, so that one transaction's shares for all
+    rows are contiguous for the step's ufuncs; a one-arm run of per-agent lam
+    steps the sampled block in place, as its cost is the generator calls.
     """
+    arms = background if isinstance(background, tuple) else (background,)
+    if not arms:
+        raise ParameterError("need at least one background")
     transactions = _integer(transactions, "transactions", 1)
     if record_every is None:
         record_every = max(1, transactions // 10_000)
     record_every = _integer(record_every, "record_every", 1)
     replicas = _integer(replicas, "replicas", 1)
-    rngs = [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]
+    streams = [
+        [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]
+        for _ in arms
+    ]
     x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = x0.size
@@ -617,32 +631,44 @@ def _evolve(
     # At one lam the pool is the constant (1 - lam) * total, so each step is
     # the filter x' = lam * x + eps * fixed_pool; else it is summed per step.
     fixed_pool = (1.0 - lam[0]) * total if (lam == lam[0]).all() else None
+    width = len(arms) * replicas  # state rows
+    staged = len(arms) > 1 or (fixed_pool is not None and replicas > 1)
     max_drift = 0.0
-    x = np.tile(x0, (replicas, 1))
-    lam_rows = np.tile(lam, (replicas, 1))  # a same-shape product is cheaper than a broadcast
+    x = np.tile(x0, (width, 1))
+    lam_rows = np.tile(lam, (width, 1))  # a same-shape product is cheaper than a broadcast
     indices = np.append(np.arange(0, transactions, record_every, dtype=np.int64), transactions)
     marks = indices.tolist()  # Python ints: the step loop compares one per step
     first = reduce(x[None])
     rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
-    # Bytes per block row that _BLOCK_BYTES bounds, float64 but for the mask:
-    # the shares (replicas, n), drawn and normalized in place as one block in
-    # which each replica's rows are its generator's slab; their totals
-    # (replicas,); the row sums (replicas,), reused in place by the drift
-    # check; the drift and its mask.  One block is alive at a time; a block
-    # is at least one row, so a row past the budget overruns it.  A rejected
-    # Gaussian draw or an all-zero raw row briefly adds a mask of the block
-    # and compacted copies of one replica's rows.
-    row_bytes = 8 * replicas * (n + 2) + 9
+    # Bytes per block row that _BLOCK_BYTES bounds, float64 but for the mask,
+    # for W = A * R state rows: the shares (W, n), drawn and normalized in
+    # place arm by arm, each replica's rows its generator's slab, and, when
+    # staged, their copy in the stage (W, n) as well; their totals (W,); the
+    # row sums (W,), reused in place by the drift check; the drift and its
+    # mask.  So a row is 8 * W * (n + 2) + 9 bytes, or 8 * W * (2n + 2) + 9
+    # staged.  One block is alive at a time; a block is at least one row, so
+    # a row past the budget overruns it.  A rejected Gaussian draw or an
+    # all-zero raw row briefly adds a mask of the block and compacted copies
+    # of one replica's rows.
+    row_bytes = 8 * width * ((1 + staged) * n + 2) + 9
     per_block = max(1, _BLOCK_BYTES // row_bytes)
-    sums = np.empty((min(per_block, transactions), replicas))
-    pool = np.empty((replicas, 1, 1))
+    sums = np.empty((min(per_block, transactions), width))
+    stage = np.empty((len(sums), width, n)) if staged else None
+    pool = np.empty((width, 1, 1))
     gain = np.empty_like(x)
     for done in range(0, transactions, per_block):
         todo = min(per_block, transactions - done)
-        eps = sample_epsilon_matrix(background, replicas * todo, n, rngs)
-        eps = eps.reshape(replicas, todo, n)
+        if stage is None:
+            eps = sample_epsilon_matrix(arms[0], replicas * todo, n, streams[0])
+            eps = eps.reshape(replicas, todo, n)
+        else:
+            eps = stage[:todo].swapaxes(0, 1)  # eps[:, j] is a C-contiguous (W, n) row
+            for a, (bg, rngs) in enumerate(zip(arms, streams)):
+                eps[a * replicas : (a + 1) * replicas] = sample_epsilon_matrix(
+                    bg, replicas * todo, n, rngs
+                ).reshape(replicas, todo, n)
         if fixed_pool is None:
             c = 0  # records taken in this block
             for j in range(todo):

@@ -184,7 +184,7 @@ def _window_counts(flags: np.ndarray, width: int) -> np.ndarray:
 
 def variance_trajectory(
     params: Sequence[AgentParams],
-    background: NoiseBackground,
+    background: NoiseBackground | tuple[NoiseBackground, ...],
     transactions: int,
     seed: int,
     record_every: int | None,
@@ -193,10 +193,12 @@ def variance_trajectory(
     """Cross-agent wealth variance at the recording cadence, per replica.
 
     Replica k runs with seed ``(seed + k) mod 2**64``; ``record_every=None``
-    keeps about 10,000 records (see ``core._evolve``).  Returns (indices of
-    shape ``(records,)``, variances of shape ``(replicas, records)``, max
-    conservation drift) without storing full states; the workhorse behind
-    background comparisons.
+    keeps about 10,000 records (see ``core._evolve``).  ``background`` may be
+    a tuple of A arms, stepped as one ensemble on the same paired seeds.
+    Returns (indices of shape ``(records,)``, variances of shape
+    ``(A * replicas, records)``, arm-major, so arm a's replica k is row
+    ``a * replicas + k``, max conservation drift) without storing full
+    states; the workhorse behind background comparisons.
     """
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
@@ -260,24 +262,24 @@ def compare_backgrounds(
     pre-transaction snapshot is not a dynamics outcome and would skew the
     first detection window.
     """
-    def arm(background: NoiseBackground) -> tuple:
-        # indices, variance, replica variances, ensemble, convergence, replica convergence, drift
-        indices, series, drift = variance_trajectory(
-            params, background, transactions, base_seed, record_every, replicas
-        )
-        tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
-        rep_var = [float(v[-tail:].mean()) for v in series]
-        ens = np.mean(series, axis=0)
-        conv = [detect_equilibrium(np.column_stack((indices[1:], v[1:]))) for v in (ens, *series)]
-        return (indices, float(np.mean(rep_var)), rep_var, ens, conv[0],
-                [c.equilibrium_index for c in conv[1:]], drift)
+    indices, series, drift = variance_trajectory(
+        params,
+        (UniformBackground() if background_a is None else background_a,
+         GaussianBackground() if background_b is None else background_b),
+        transactions, base_seed, record_every, replicas,
+    )
+    tail = max(1, int(round(indices.size * _TAIL_FRACTION)))
 
-    indices, var_a, rep_var_a, ens_a, conv_a, rep_conv_a, da = arm(
-        UniformBackground() if background_a is None else background_a
-    )
-    _, var_b, rep_var_b, ens_b, conv_b, rep_conv_b, db = arm(
-        GaussianBackground() if background_b is None else background_b
-    )
+    def arm(rows: np.ndarray) -> tuple:
+        # variance, replica variances, ensemble, convergence, replica convergence
+        rep_var = [float(v[-tail:].mean()) for v in rows]
+        ens = np.mean(rows, axis=0)
+        conv = [detect_equilibrium(np.column_stack((indices[1:], v[1:]))) for v in (ens, *rows)]
+        return (float(np.mean(rep_var)), rep_var, ens, conv[0],
+                [c.equilibrium_index for c in conv[1:]])
+
+    var_a, rep_var_a, ens_a, conv_a, rep_conv_a = arm(series[:replicas])
+    var_b, rep_var_b, ens_b, conv_b, rep_conv_b = arm(series[replicas:])
 
     reduction = (var_a - var_b) / var_a if var_a > 0.0 else 0.0
     return ComparisonResult(
@@ -294,5 +296,5 @@ def compare_backgrounds(
         indices=indices,
         ensemble_variance_uniform=ens_a,
         ensemble_variance_gaussian=ens_b,
-        max_conservation_drift=max(da, db),
+        max_conservation_drift=drift,
     )

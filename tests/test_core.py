@@ -364,6 +364,48 @@ def test_one_lam_evolve_matches_repeated_step(name, lam, monkeypatch):
                 assert (rows == wealth).all()
 
 
+@pytest.mark.parametrize("per_agent", [False, True], ids=["one-lam", "per-agent-lam"])
+@pytest.mark.parametrize(
+    "pair",
+    [("uniform", "gaussian"), ("gaussian-rejecting", "constant"), ("constant", "uniform")],
+    ids="-".join,
+)
+def test_two_arm_evolve_is_the_two_single_arm_runs(pair, per_agent, monkeypatch):
+    # Arm a's replica k is row a * R + k of a two-arm run, bit for bit the
+    # one-arm run's row k and the one-replica run at seed + k, whatever the
+    # block budget and whether or not the run is staged.
+    seed = ws.MAX_SEED - 1
+    for n in (1, 3):
+        arms = tuple(
+            ws.ConstantBackground(np.array([1.0])) if name == "constant" and n == 1
+            else REPLICA_BACKGROUNDS[name]
+            for name in pair
+        )
+        lam = (np.array([0.9, 0.5, 0.75]) if per_agent else np.full(3, 0.9))[:n]
+        wealth = np.array([10.0, 200.0, 35.0])[:n]
+
+        def run(background, replicas, seed):
+            return _evolve(lam, wealth, background, 300, seed, replicas, 7, lambda s: s.copy())
+
+        alone = [[run(bg, 1, (seed + k) & ws.MAX_SEED)[1][:, 0] for k in range(5)] for bg in arms]
+        for budget in (512 * 1024, 4 * 1024, 1):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+            for replicas in (1, 2, 5):
+                indices, rows, drift = run(arms, replicas, seed)
+                assert rows.shape == (indices.size, 2 * replicas, n)
+                drifts = []
+                for a, bg in enumerate(arms):
+                    one_indices, one_arm, one_drift = run(bg, replicas, seed)
+                    assert np.array_equal(indices, one_indices)
+                    assert np.array_equal(rows[:, a * replicas : (a + 1) * replicas], one_arm)
+                    for k in range(replicas):
+                        assert np.array_equal(one_arm[:, k], alone[a][k])
+                    drifts.append(one_drift)
+                assert drift == max(drifts)
+        with pytest.raises(ws.ParameterError, match="at least one background"):
+            run((), 2, seed)
+
+
 def test_a_background_without_sample_raw_is_refused_by_name():
     class _Bare(ws.NoiseBackground):
         pass
@@ -401,6 +443,25 @@ def test_many_replica_trajectories_sample_in_small_blocks(background):
     tracemalloc.start()
     try:
         ws.variance_trajectory(params, background, 200, 1, 200, replicas=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("per_agent", [False, True], ids=["one-lam", "per-agent-lam"])
+@pytest.mark.parametrize(
+    "gaussian", [ws.GaussianBackground(), ws.GaussianBackground(0.3, 0.4)],
+    ids=["gaussian", "rejecting-gaussian"],
+)
+def test_two_arm_comparison_samples_in_small_blocks(gaussian, per_agent):
+    # Both arms of eight replicas, stepped through one stage, share one budget.
+    lam = np.linspace(0.5, 0.95, 1000) if per_agent else 0.9
+    params = ws.make_agents(1000, lam, 100.0)
+    ws.compare_backgrounds(params, 1, 8, 1, background_b=gaussian)  # lazy numpy imports
+    tracemalloc.start()
+    try:
+        ws.compare_backgrounds(params, 200, 8, 1, background_b=gaussian, record_every=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -293,6 +293,29 @@ def test_compare_ensemble_sums_replicas_in_order():
     assert np.array_equal(res.ensemble_variance_uniform, total / 20)
 
 
+def test_compare_arms_are_single_arm_variance_trajectories():
+    # Both arms run as one staged ensemble; each arm's rows, and so every
+    # figure built from them, are bit for bit those of its own one-arm call.
+    params = ws.make_agents(5, [0.2, 0.4, 0.6, 0.8, 0.95], [1.0, 2.0, 3.0, 4.0, 5.0])
+    arms = (ws.UniformBackground(), ws.GaussianBackground(0.3, 0.4))
+    res = ws.compare_backgrounds(params, 3000, 3, 10, background_b=arms[1], record_every=3)
+    indices, both, drift = ws.variance_trajectory(params, arms, 3000, 10, 3, 3)
+    assert both.shape == (6, indices.size)
+    assert np.array_equal(res.indices, indices)
+    singles = [ws.variance_trajectory(params, bg, 3000, 10, 3, 3) for bg in arms]
+    for a, (ensemble, (_, rows, _)) in enumerate(
+        zip((res.ensemble_variance_uniform, res.ensemble_variance_gaussian), singles)
+    ):
+        assert np.array_equal(both[3 * a : 3 * (a + 1)], rows)
+        assert np.array_equal(ensemble, np.mean(rows, axis=0))
+    assert res.max_conservation_drift == drift == max(d for _, _, d in singles)
+    tail = max(1, round(indices.size * 0.1))
+    for replica_variances, (_, rows, _) in zip(
+        (res.replica_variance_uniform, res.replica_variance_gaussian), singles
+    ):
+        assert replica_variances == [float(v[-tail:].mean()) for v in rows]
+
+
 def test_compare_rejects_bad_replicas_and_seed():
     params = ws.make_agents(4, 0.9, 1.0)
     with pytest.raises(ws.ParameterError):
