@@ -604,10 +604,10 @@ def _evolve(
     depends only on the one before it, so no result depends on the block
     size, the replica count or the other arms.
 
-    Runs of several arms, and one-lam runs of several replicas, copy each
-    block into a time-major stage, so that one transaction's shares for all
-    rows are contiguous for the step's ufuncs; a one-arm run of per-agent lam
-    steps the sampled block in place, as its cost is the generator calls.
+    Runs of several arms copy each block into a time-major stage, so that
+    one transaction's shares for all rows are contiguous for the step's
+    ufuncs; a one-arm run steps the sampled block in place, as a stage would
+    cut its rows per block, by up to half, and so add generator calls.
     """
     arms = background if isinstance(background, tuple) else (background,)
     if not arms:
@@ -632,7 +632,7 @@ def _evolve(
     # the filter x' = lam * x + eps * fixed_pool; else it is summed per step.
     fixed_pool = (1.0 - lam[0]) * total if (lam == lam[0]).all() else None
     width = len(arms) * replicas  # state rows
-    staged = len(arms) > 1 or (fixed_pool is not None and replicas > 1)
+    staged = len(arms) > 1
     max_drift = 0.0
     x = np.tile(x0, (width, 1))
     lam_rows = np.tile(lam, (width, 1))  # a same-shape product is cheaper than a broadcast
