@@ -28,7 +28,6 @@ vector.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence, Union
@@ -482,22 +481,6 @@ def _total(wealth: np.ndarray) -> float:
     return total
 
 
-def _step_kernel(lam: np.ndarray, release: np.ndarray, x: np.ndarray, eps: np.ndarray,
-                 pool: np.ndarray, gain: np.ndarray) -> None:
-    # Shared by step() and the trajectory loop of per-agent lam, so those two
-    # routes are bit-identical; at one lam the loop steps a constant pool and
-    # agrees with step() to rounding.  x is one state (n,) or a stack (R, n),
-    # updated in place to lam * x + eps * pool.  pool, of shape
-    # x.shape[:-1] + (1, 1), receives the released wealth and gain, of x's
-    # shape, eps * pool; eps is only read.
-    # The stacked matmul takes the same per-row dot as ``release @ x``, where
-    # ``x @ release`` would not.
-    np.matmul(x[..., None, :], release[:, None], out=pool)
-    np.multiply(eps, pool[..., 0], out=gain)
-    x *= lam
-    x += gain
-
-
 def step(
     state: WealthState, params: Sequence[AgentParams], epsilon: np.ndarray
 ) -> WealthState:
@@ -507,13 +490,14 @@ def step(
     entry is non-negative.
     """
     x = state.wealth
-    eps = _array(epsilon, "share entry", 0, 1)  # a new array, so it can hold the gain
+    eps = _array(epsilon, "share entry", 0, 1)
     if len(params) != x.size or eps.shape != x.shape:
         raise ParameterError("state, params and shares must have equal length")
     total = _total(x)
     lam = np.array([p.lam for p in params])
-    new = x.copy()
-    _step_kernel(lam, 1.0 - lam, new, eps, np.empty((1, 1)), eps)
+    # The dot and the sum of _evolve's per-agent step, so the two are bit-identical.
+    pool = np.matmul(x[None], (1.0 - lam)[:, None])[0]
+    new = eps * pool + lam * x
     _drift(np.array([[new.sum()]]), total, state.transaction_index + 1, "single step: ")
     return WealthState(state.transaction_index + 1, new)
 
@@ -597,12 +581,17 @@ def _evolve(
     wealth; raises ``ConservationError`` after a block that ends with
     negative wealth or in which drift passed tolerance.
 
-    When every entry of ``lam`` is equal, the pool is the constant
-    ``(1 - lam) * W`` for the initial total W, and the result agrees with
-    ``step`` to rounding, which the contraction by lam keeps from growing;
-    per-agent lam steps bit for bit as ``step`` does.  Either way each state
-    depends only on the one before it, so no result depends on the block
-    size, the replica count or the other arms.
+    One loop steps every block: each new state is written into the share
+    row it was stepped from, then one sum gives the drift check's row totals
+    and the records are a view of evenly spaced rows, or a gather when the
+    final record falls off cadence.  Only the pool differs with ``lam``.
+    When every entry is equal, the pool is the constant ``(1 - lam) * W``
+    for the initial total W, and the result agrees with ``step`` to
+    rounding, which the contraction by lam keeps from growing.  Per-agent
+    lam pools the contiguous state as ``step`` does, bit for bit, and then
+    stores it in its row.  Either way each state depends only on the one
+    before it, so no result depends on the block size, the replica count or
+    the other arms.
 
     Runs of several arms copy each block into a time-major stage, so that
     one transaction's shares for all rows are contiguous for the step's
@@ -637,9 +626,8 @@ def _evolve(
     x = np.tile(x0, (width, 1))
     lam_rows = np.tile(lam, (width, 1))  # a same-shape product is cheaper than a broadcast
     indices = np.append(np.arange(0, transactions, record_every, dtype=np.int64), transactions)
-    marks = indices.tolist()  # Python ints: the step loop compares one per step
     first = reduce(x[None])
-    rows = np.empty((len(marks),) + first.shape[1:], first.dtype)
+    rows = np.empty((indices.size,) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
     # Bytes per block row that _BLOCK_BYTES bounds, float64 but for the mask,
@@ -669,33 +657,32 @@ def _evolve(
                 eps[a * replicas : (a + 1) * replicas] = sample_epsilon_matrix(
                     bg, replicas * todo, n, rngs
                 ).reshape(replicas, todo, n)
-        if fixed_pool is None:
-            c = 0  # records taken in this block
-            for j in range(todo):
-                _step_kernel(lam_rows, release, x, eps[:, j], pool, gain)
-                x.sum(axis=1, out=sums[j])
-                if done + j + 1 == marks[r + c]:
-                    eps[:, c] = x  # row c <= j is spent
-                    c += 1
-            taken = eps[:, :c]
-        else:
-            # Each state overwrites the share row it was stepped from, so
-            # row j ends as the state after transaction done + j + 1.
+        # Each state overwrites the share row it was stepped from, so row j
+        # ends as the state after transaction done + j + 1.
+        if fixed_pool is not None:
             eps *= fixed_pool
-            prev = x
-            for row in eps.swapaxes(0, 1):
-                np.multiply(prev, lam_rows, out=gain)
+        prev = x
+        for row in eps.swapaxes(0, 1):
+            np.multiply(prev, lam_rows, out=gain)
+            if fixed_pool is None:  # pool the contiguous state as step() does, then store it
+                np.matmul(x[:, None, :], release[:, None], out=pool)
+                np.multiply(row, pool[:, 0], out=x)
+                x += gain
+                row[...] = x
+            else:
                 np.add(row, gain, out=row)
                 prev = row
-            del prev, row  # a view would keep this block alive through the next draw
-            x[...] = eps[:, -1]
-            eps.sum(axis=2, out=sums[:todo].T)
-            c = bisect.bisect_right(marks, done + todo, r) - r
-            taken = eps[:, indices[r : r + c] - (done + 1)]
+        del prev, row  # a view would keep this block alive through the next draw
+        x[...] = eps[:, -1]
+        eps.sum(axis=2, out=sums[:todo].T)
+        c = int(np.searchsorted(indices, done + todo, "right")) - r  # records in this block
         if c:
-            rows[r : r + c] = reduce(taken.swapaxes(0, 1))
+            picks = indices[r : r + c] - (done + 1)
+            if picks[-1] - picks[0] == (c - 1) * record_every:  # evenly spaced: a view
+                picks = slice(picks[0], picks[-1] + 1, record_every)
+            rows[r : r + c] = reduce(eps[:, picks].swapaxes(0, 1))
             r += c
-        del eps, taken  # the next block is drawn with this one freed
+        del eps  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).

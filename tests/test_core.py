@@ -336,6 +336,20 @@ def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
                 assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
 
 
+def _repeated_steps(bg, params, seed, replicas, transactions):
+    # The states of ``replicas`` runs of step() at seeds seed + k, stacked as
+    # (transactions + 1, replicas, n).
+    wealth = np.array([p.initial_wealth for p in params])
+    stepped = []
+    for k in range(replicas):
+        state, states = ws.WealthState(0, wealth), [wealth]
+        for eps in ws.sample_epsilon_matrix(bg, transactions, wealth.size, ws.make_rng(seed + k)):
+            state = ws.step(state, params, eps)
+            states.append(state.wealth)
+        stepped.append(states)
+    return np.array(stepped).swapaxes(0, 1)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
 def test_one_lam_evolve_matches_repeated_step(name, lam, monkeypatch):
@@ -347,14 +361,7 @@ def test_one_lam_evolve_matches_repeated_step(name, lam, monkeypatch):
     n, seed, transactions = wealth.size, 11, 300
     params = ws.make_agents(n, lam, wealth)
     for replicas in (1, 3):
-        stepped = []
-        for k in range(replicas):
-            state, states = ws.WealthState(0, wealth), [wealth]
-            for eps in ws.sample_epsilon_matrix(bg, transactions, n, ws.make_rng(seed + k)):
-                state = ws.step(state, params, eps)
-                states.append(state.wealth)
-            stepped.append(states)
-        stepped = np.array(stepped).swapaxes(0, 1)  # (transactions + 1, replicas, n)
+        stepped = _repeated_steps(bg, params, seed, replicas, transactions)
         for budget in (512 * 1024, 4 * 1024, 1):
             monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
             indices, rows, _ = _evolve(np.full(n, lam), wealth, bg, transactions, seed,
@@ -362,6 +369,28 @@ def test_one_lam_evolve_matches_repeated_step(name, lam, monkeypatch):
             np.testing.assert_allclose(rows, stepped[indices], rtol=1e-12, atol=0)
             if lam == 1.0:
                 assert (rows == wealth).all()
+
+
+@pytest.mark.parametrize("lam", [[0.9, 0.5, 0.75], [1.0, 0.0, 0.5]], ids=["inner", "ends"])
+@pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
+def test_per_agent_evolve_is_repeated_step(name, lam, monkeypatch):
+    # Per-agent lam pools each state as step() does, so the two agree bit for
+    # bit: for three replicas stepped in strided rows, for blocks of many rows
+    # and of one, and for records of every state or of every 7th, where the
+    # final record (300) falls off cadence.
+    bg = REPLICA_BACKGROUNDS[name]
+    lam, wealth = np.array(lam), np.array([10.0, 200.0, 35.0])
+    seed, transactions = 11, 300
+    params = ws.make_agents(wealth.size, lam, wealth)
+    for replicas in (1, 3):
+        stepped = _repeated_steps(bg, params, seed, replicas, transactions)
+        for budget in (512 * 1024, 4 * 1024, 1):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+            for cadence in (1, 7):
+                indices, rows, _ = _evolve(lam, wealth, bg, transactions, seed, replicas,
+                                           cadence, lambda s: s.copy())
+                assert indices[-2:].tolist() == ([299, 300] if cadence == 1 else [294, 300])
+                assert np.array_equal(rows, stepped[indices])
 
 
 @pytest.mark.parametrize("per_agent", [False, True], ids=["one-lam", "per-agent-lam"])
@@ -620,7 +649,7 @@ def test_trajectory_reproducible():
     assert not np.array_equal(a.final.wealth, c.final.wealth)
 
 
-def test_trajectory_recording_cadence():
+def test_trajectory_recording_cadence(monkeypatch):
     params = ws.make_agents(3, 0.5, 1.0)
     traj = ws.run_trajectory(params, ws.UniformBackground(), 25, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20, 25]
@@ -631,14 +660,22 @@ def test_trajectory_recording_cadence():
         assert np.array_equal(traj.wealth[r], traj[r].wealth)
     traj = ws.run_trajectory(params, ws.UniformBackground(), 20, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20]
-    # At n = 1000 a sampling block is 29 rows: cadence 40 leaves blocks with
-    # no record, and at both cadences the final record is off cadence.
-    wide = ws.make_agents(1000, 0.5, 1.0)
-    every = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=1)
-    for cadence in (40, 7):
-        traj = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=cadence)
-        assert traj.indices.tolist() == [*range(0, 100, cadence), 100]
-        assert np.array_equal(traj.wealth, every.wealth[traj.indices])
+    # At n = 1000 a sampling block is 65 rows, or 32 at a 256 KiB budget:
+    # there cadence 40 leaves the first block with no record.  At both
+    # cadences the final record is off cadence, so a block that holds it with
+    # another record gathers them; evenly spaced records are a view.  Both
+    # one lam and per-agent lam record this way.
+    for lam in (0.5, np.linspace(0.1, 0.9, 1000)):
+        wide = ws.make_agents(1000, lam, 1.0)
+        for budget in (512 * 1024, 256 * 1024):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+            every = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8, record_every=1)
+            for cadence in (40, 7):
+                traj = ws.run_trajectory(wide, ws.UniformBackground(), 100, 8,
+                                         record_every=cadence)
+                assert traj.indices.tolist() == [*range(0, 100, cadence), 100]
+                assert np.array_equal(traj.wealth, every.wealth[traj.indices])
+    monkeypatch.undo()
     # None is the default cadence max(1, transactions // 10_000): 2 at 25,000.
     default, two = (
         ws.run_trajectory(params, ws.UniformBackground(), 25_000, 8, record_every=cadence)
@@ -655,7 +692,7 @@ def test_trajectory_recording_cadence():
 
 
 def test_trajectory_matches_repeated_step():
-    # The fast loop and the single-step operation share one kernel.
+    # The engine's per-agent step is step()'s dot and sum, so they agree bit for bit.
     params = ref_params()
     bg = ws.ConstantBackground(REF_EPSILON)
     traj = ws.run_trajectory(params, bg, 50, 0, record_every=1)
