@@ -37,8 +37,8 @@ from .core import (
     run_trajectory,
 )
 from .errors import ConservationError, DegenerateInputError, ParameterError
-from .solver import TwoEconomyParams, characteristic_roots, closed_form, concordance, evaluate_series, induced_epsilon_mean
-from .stats import build_histogram, compare_backgrounds
+from .solver import TwoEconomyParams, characteristic_roots, closed_form, concordance, evaluate_series
+from .stats import _bins, build_histogram, compare_backgrounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +53,7 @@ _CONFIG_TYPES = {
     "background": (background_from_dict, "a background descriptor"),
     "replicas": (lambda v: _integer(v, "replicas"), "an integer"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "bins": (lambda v: _integer(v, "bins", 1), "an integer >= 1"),
+    "bins": (_bins, "an integer >= 1"),
     "threshold": (lambda v: _number(v, "threshold", 0), "a finite number >= 0"),
     "self_test": (_is_bool, "true or false"),
 }
@@ -245,7 +245,7 @@ def cmd_concordance(config: RunConfig) -> int:
     ax, ay = make_agents(2, config.lambdas, config.initial_wealth)
     background = background_from_dict(config.background)
     p = TwoEconomyParams(
-        ax.lam, ay.lam, induced_epsilon_mean(background, n=2), ax.initial_wealth, ay.initial_wealth
+        ax.lam, ay.lam, background.mean_share(2), ax.initial_wealth, ay.initial_wealth
     )
 
     start = time.perf_counter()

@@ -61,6 +61,9 @@ _MAX_REJECTION_SWEEPS = 1000
 # Sampling streams are split-invariant, so the block size changes no result.
 _BLOCK_BYTES = 512 * 1024
 
+# Most bytes of an array sized by a count: half numpy's intp limit, as np.arange refuses below it.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max // 2
+
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
 # 1 + _MAX_REJECTION_SWEEPS tries, whichever replica's stream it is in, so a
 # call for one block of at most _BLOCK_BYTES // 8 draws (all replicas
@@ -583,8 +586,9 @@ def _evolve(
 
     One loop steps every block: each new state is written into the share
     row it was stepped from, then one sum gives the drift check's row totals
-    and the records are a view of evenly spaced rows, or a gather when the
-    final record falls off cadence.  Only the pool differs with ``lam``.
+    and one view of the block's cadence rows its records; the initial state,
+    and a final one off cadence, are recorded from the state vector.  Only
+    the pool differs with ``lam``.
     When every entry is equal, the pool is the constant ``(1 - lam) * W``
     for the initial total W, and the result agrees with ``step`` to
     rounding, which the contraction by lam keeps from growing.  Per-agent
@@ -625,8 +629,10 @@ def _evolve(
     max_drift = 0.0
     x = np.tile(x0, (width, 1))
     lam_rows = np.tile(lam, (width, 1))  # a same-shape product is cheaper than a broadcast
-    indices = np.append(np.arange(0, transactions, record_every, dtype=np.int64), transactions)
     first = reduce(x[None])
+    records = (transactions - 1) // record_every + 2  # int64 indices and rows like first[0]
+    _integer(records, "record count", 2, _MAX_ARRAY_BYTES // max(8, first[0].nbytes))
+    indices = np.append(np.arange(0, transactions, record_every, dtype=np.int64), transactions)
     rows = np.empty((indices.size,) + first.shape[1:], first.dtype)
     rows[0] = first[0]
     r = 1  # the next record
@@ -675,14 +681,12 @@ def _evolve(
         del prev, row  # a view would keep this block alive through the next draw
         x[...] = eps[:, -1]
         eps.sum(axis=2, out=sums[:todo].T)
-        c = int(np.searchsorted(indices, done + todo, "right")) - r  # records in this block
+        on = eps[:, -(done + 1) % record_every :: record_every]  # the block's cadence rows
+        c = on.shape[1]
         if c:
-            picks = indices[r : r + c] - (done + 1)
-            if picks[-1] - picks[0] == (c - 1) * record_every:  # evenly spaced: a view
-                picks = slice(picks[0], picks[-1] + 1, record_every)
-            rows[r : r + c] = reduce(eps[:, picks].swapaxes(0, 1))
+            rows[r : r + c] = reduce(on.swapaxes(0, 1))
             r += c
-        del eps  # the next block is drawn with this one freed
+        del eps, on  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).
@@ -691,6 +695,8 @@ def _evolve(
         # While wealth stays non-negative it is bounded by the total, so the
         # drift of a whole block can be checked after it.
         max_drift = max(max_drift, _drift(sums[:todo], total, done + 1))
+    if transactions % record_every:  # the final record is off cadence
+        rows[r] = reduce(x[None])[0]
     return indices, rows, max_drift
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseBackground, _drift, _evolve, _integer, _number, _total
+from .core import _MAX_ARRAY_BYTES, NoiseBackground, _drift, _evolve, _integer, _number, _total
 
 
 @dataclass(frozen=True)
@@ -145,21 +145,11 @@ def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
 
 def evaluate_series(sol: ClosedFormSolution, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized trajectory for m = 0..m_max; ``m_max`` must be an integer."""
-    m_max = _integer(m_max, "m_max", 0)
+    m_max = _integer(m_max, "m_max", 0, _MAX_ARRAY_BYTES // 8 - 1)  # m_max + 1 floats
     powers = sol.decay_root ** np.arange(m_max + 1, dtype=float)
     xs, ys = sol.fixed_point_x + sol.coeff_x * powers, sol.fixed_point_y + sol.coeff_y * powers
     _drift((xs + ys)[:, None], sol.total, 0, "closed form: ")
     return xs, ys
-
-
-def induced_epsilon_mean(background: NoiseBackground, n: int = 2) -> float:
-    """Mean share of the first agent under the given background.
-
-    Raw draws are i.i.d. across agents, so after normalization the shares
-    are exchangeable and sum to one: each has mean exactly 1/n regardless of
-    the draw distribution.  A constant background's share is its stored value.
-    """
-    return background.mean_share(n)
 
 
 @dataclass
@@ -200,7 +190,7 @@ def concordance(
         lambda s: np.cumsum(s[:, :, 0], axis=1)[:, -1],
     )
     mean_x = sums / replicas
-    eps_det = induced_epsilon_mean(background, n=2)
+    eps_det = background.mean_share(2)
     det = TwoEconomyParams(p.lambda_x, p.lambda_y, eps_det, p.x0, p.y0)
     x_det, _ = evaluate_series(closed_form(det), transactions)
 

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _MAX_ARRAY_BYTES,
     AgentParams,
     GaussianBackground,
     NoiseBackground,
@@ -66,7 +67,7 @@ def build_histogram(
     s = _array(samples, "sample")
     if s.size == 0:
         raise ParameterError("samples must be non-empty")
-    bins = _integer(bins, "bins", 1)
+    bins = _bins(bins)
     if range is None:
         lo, hi = float(s.min()), float(s.max())
         if lo == hi:
@@ -84,6 +85,11 @@ def build_histogram(
         raise ParameterError(f"cannot split [{lo!r}, {hi!r}] into {bins} bins of finite width > 0")
     counts, edges = np.histogram(s, bins=bins, range=(lo, hi))
     return Histogram(edges, counts)
+
+
+def _bins(value: object) -> int:
+    # ``value`` as a bin count whose bins + 1 float edges an array can hold.
+    return _integer(value, "bins", 1, _MAX_ARRAY_BYTES // 8 - 1)
 
 
 def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
@@ -140,7 +146,7 @@ def detect_equilibrium(
     A trailing mean over ``window`` points is tracked; the series converges
     at the first position where the relative change between consecutive
     trailing means drops below ``tolerance`` and stays below it for one full
-    further window.  A series shorter than 2*window is not enough data
+    further window.  A series of at most 2*window points is not enough data
     (``converged=False``, no error).  ``final_variance`` is the trailing
     mean at the last point.
     """
@@ -156,7 +162,7 @@ def detect_equilibrium(
         raise ParameterError("variance series must be sorted by index")
     t = v.size
     final_variance = float(v[-min(window, t):].mean())
-    if t < 2 * window:
+    if t <= 2 * window:
         return ConvergenceReport(False, None, window, tolerance, final_variance)
 
     cum = np.concatenate(([0.0], np.cumsum(v)))
@@ -168,11 +174,10 @@ def detect_equilibrium(
     below = rel < tolerance  # below[j] <-> series position window + j
 
     need = window + 1  # first quiet position plus one full confirming window
-    if below.size >= need:
-        hits = np.flatnonzero(_window_counts(below, need) == need)
-        if hits.size:
-            pos = window + int(hits[0])
-            return ConvergenceReport(True, int(round(idx[pos])), window, tolerance, final_variance)
+    hits = np.flatnonzero(_window_counts(below, need) == need)
+    if hits.size:
+        pos = window + int(hits[0])
+        return ConvergenceReport(True, int(round(idx[pos])), window, tolerance, final_variance)
     return ConvergenceReport(False, None, window, tolerance, final_variance)
 
 

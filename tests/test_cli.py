@@ -568,6 +568,22 @@ def test_invalid_config_exits_one(tmp_path, capsys):
         out = tmp_path / f"failed{i}"
         assert main(["simulate", *bad_run, "--out", str(out)]) == 1, bad_run
         assert not out.exists(), bad_run
+    # a count too large for any numpy array is refused before the run, in one line
+    too_many = "10000000000000000000"
+    for i, bad_run in enumerate(
+        [
+            ["simulate", "--agents", "3", "--transactions", too_many, "--record-every", "1"],
+            ["simulate", "--agents", "3", "--transactions", "5", "--bins", too_many],
+            ["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5", "--x0", "1",
+             "--y0", "1", "--m-max", too_many],
+        ]
+    ):
+        out = tmp_path / f"oversized{i}"
+        capsys.readouterr()
+        assert main([*bad_run, "--out", str(out)]) == 1, bad_run
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("wealthsim: config error: "), err
+        assert not out.exists(), bad_run
 
 
 def test_bad_bins_fail_before_the_run(tmp_path, monkeypatch):
@@ -575,7 +591,7 @@ def test_bad_bins_fail_before_the_run(tmp_path, monkeypatch):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "run_trajectory", unreachable)
-    for bins in ("0", "-2"):
+    for bins in ("0", "-2", "10000000000000000000"):
         out = tmp_path / f"bins{bins}"
         assert main(["simulate", "--bins", bins, "--out", str(out)]) == 1
         assert not out.exists()

@@ -661,10 +661,10 @@ def test_trajectory_recording_cadence(monkeypatch):
     traj = ws.run_trajectory(params, ws.UniformBackground(), 20, 8, record_every=10)
     assert [st.transaction_index for st in traj] == [0, 10, 20]
     # At n = 1000 a sampling block is 65 rows, or 32 at a 256 KiB budget:
-    # there cadence 40 leaves the first block with no record.  At both
-    # cadences the final record is off cadence, so a block that holds it with
-    # another record gathers them; evenly spaced records are a view.  Both
-    # one lam and per-agent lam record this way.
+    # there cadence 40 leaves the first block with no record.  Each block's
+    # records are one view of its cadence rows; at both cadences the final
+    # record is off cadence and is taken from the state after the last block.
+    # Both one lam and per-agent lam record this way.
     for lam in (0.5, np.linspace(0.1, 0.9, 1000)):
         wide = ws.make_agents(1000, lam, 1.0)
         for budget in (512 * 1024, 256 * 1024):
@@ -891,7 +891,7 @@ _NOT_BACKGROUNDS = (None, "gaussian", {"kind": "uniform"}, ws.UniformBackground)
         (ws.compare_backgrounds, (ref_params(), 5.0, 2, 1)),
         (ws.concordance, (ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000, 2000),
                           ws.UniformBackground(), 1.5, 5, 1)),
-        (ws.induced_epsilon_mean, (ws.UniformBackground(), 2.0)),
+        (ws.UniformBackground().mean_share, (2.0,)),
         # numbers must be finite, integers too large for a float included
         (ws.make_agents, (2, 0.5, 10**400)),
         (ws.TwoEconomyParams, (0.95, 0.8, 0.5, 10**400, 1)),
@@ -953,6 +953,17 @@ _NOT_BACKGROUNDS = (None, "gaussian", {"kind": "uniform"}, ws.UniformBackground)
           )],
         *[(lambda *a, bad=bad: ws.compare_backgrounds(*a, background_a=bad),
            (ref_params(), 5, 2, 1)) for bad in _NOT_BACKGROUNDS[1:]],
+        # vectors of the wrong shape, too few or unordered bin edges, and a
+        # variance series that is not (index, value) pairs
+        (ws.WealthState, (0, [])),
+        (ws.WealthState, (0, [[1.0]])),
+        (ws.validate_epsilon, ([],)),
+        (ws.validate_epsilon, ([[1.0]],)),
+        (ws.normalize_epsilon, ([],)),
+        (ws.pairwise_delta, (ref_state(), ref_params(), [1.0], 0, 1)),
+        (ws.Histogram, ([0.0], [])),
+        (ws.Histogram, ([0.0, 0.0, 1.0], [1, 1])),
+        (ws.detect_equilibrium, ([1.0, 2.0], 2)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -1038,8 +1049,7 @@ _ABOVE_1 = np.nextafter(1.0, 2.0)
         pytest.param(lambda v: _delta(v, 1), 0, -1, id="agent-index-0"),
         pytest.param(lambda v: ws.sample_epsilon_matrix(ws.UniformBackground(), v, 2,
                                                         ws.make_rng(0)), 1, 0, id="count-1"),
-        pytest.param(lambda v: ws.induced_epsilon_mean(ws.UniformBackground(), v), 1, 0,
-                     id="n-1"),
+        pytest.param(ws.UniformBackground().mean_share, 1, 0, id="n-1"),
         pytest.param(lambda v: ws.run_trajectory(ref_params(), ws.UniformBackground(), v, 0),
                      1, 0, id="transactions-1"),
         pytest.param(lambda v: ws.run_trajectory(ref_params(), ws.UniformBackground(), 3, 0, v),

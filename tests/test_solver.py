@@ -273,21 +273,21 @@ def test_params_validation():
 # --------------------------------------------------------------- concordance
 
 
-def test_induced_epsilon_mean():
-    assert ws.induced_epsilon_mean(ws.UniformBackground()) == 0.5
-    assert ws.induced_epsilon_mean(ws.GaussianBackground()) == 0.5
-    assert ws.induced_epsilon_mean(ws.UniformBackground(), n=4) == 0.25
+def test_mean_share():
+    assert ws.UniformBackground().mean_share(2) == 0.5
+    assert ws.GaussianBackground().mean_share(2) == 0.5
+    assert ws.UniformBackground().mean_share(4) == 0.25
     bg = ws.ConstantBackground(np.array([0.51, 0.49]))
-    assert ws.induced_epsilon_mean(bg) == 0.51
+    assert bg.mean_share(2) == 0.51
 
 
-def test_induced_epsilon_mean_monte_carlo_cross_check():
+def test_mean_share_monte_carlo_cross_check():
     # exchangeability argument vs a large pre-sample
     for bg, seed in ((ws.GaussianBackground(), 654), (ws.UniformBackground(), 655)):
         rng = ws.make_rng(seed)
         first = ws.sample_epsilon_matrix(bg, 10**6, 2, rng)[:, 0]
         se = first.std() / 1000.0
-        assert abs(first.mean() - ws.induced_epsilon_mean(bg)) <= 5.0 * se
+        assert abs(first.mean() - bg.mean_share(2)) <= 5.0 * se
 
 
 def test_concordance_constant_background_is_exact():

@@ -200,6 +200,15 @@ def test_detect_equilibrium_not_enough_data():
     rep = ws.detect_equilibrium([(0, 1.0), (1, 1.0)], window=5, tolerance=1e-3)
     assert not rep.converged
     assert rep.equilibrium_index is None
+    # A constant series settles at once, but needs window + 1 quiet changes
+    # of its trailing mean: 2 * window points give only window of them.
+    idx = np.arange(11) * 3
+    rep = ws.detect_equilibrium(np.column_stack((idx[:10], np.ones(10))), window=5)
+    assert not rep.converged
+    assert rep.equilibrium_index is None
+    rep = ws.detect_equilibrium(np.column_stack((idx, np.ones(11))), window=5)
+    assert rep.converged
+    assert rep.equilibrium_index == idx[5]
 
 
 def test_detect_equilibrium_validation():
