@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConservationError, DegenerateInputError, ParameterError
 
@@ -75,8 +76,81 @@ _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJ
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer."""
-    return np.random.Generator(np.random.PCG64(_integer(seed, "seed", 0, MAX_SEED)))
+    """Seeded PCG64 generator; ``seed`` must be a 64-bit unsigned integer.
+
+    Its ``bit_generator.state`` is that of ``np.random.PCG64(seed)``, but its
+    ``seed_seq`` is no numpy ``SeedSequence``, so it cannot ``spawn``.
+    """
+    return _seeded(seed, 1)[0][0]
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) as uint32
+# arrays, whose products wrap without a scalar-overflow warning.
+def _hash_constants(first: int, mult: int, k: int) -> np.ndarray:
+    # The constant sequence first * mult**i mod 2**32, i <= k, as a column.
+    return np.array([first * pow(mult, i, 2**32) % 2**32 for i in range(k + 1)], np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # hashmix's 16 calls of one entropy mix
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 words
+_MIX_L, _MIX_R = np.array([0xCA01F9DD, 0x4973F715], np.uint32)
+
+
+def _hashmix(values: np.ndarray, calls: slice) -> np.ndarray:
+    # numpy's hashmix as the calls ``calls`` of one entropy mix, one result
+    # row per call, with ``values`` broadcast against those rows.
+    mixed = values ^ _HASH_A[calls]
+    mixed *= _HASH_A[calls.start + 1 : calls.stop + 1]
+    mixed ^= mixed >> 16
+    return mixed
+
+
+# The last two pool words of a seed below 2**64: entropy words 2 and 3 are 0.
+_POOL_TAIL = _hashmix(np.zeros(1, np.uint32), slice(2, 4))
+
+# The pool words other than each word, in numpy's order of mixing.
+_OTHERS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+
+
+class _SeedWords(ISeedSequence):
+    # The four uint64 words that PCG64 asks its seed sequence for, and no others.
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _seeded(seed: int, count: int, copies: int = 1) -> list[list[np.random.Generator]]:
+    # ``copies`` lists of PCG64 generators at the seeds (seed + k) mod 2**64,
+    # k < count, each in the state of ``np.random.PCG64(seed + k)``, after one
+    # check of ``seed``.  numpy's ``SeedSequence(s).generate_state(4,
+    # np.uint64)`` is computed for all seeds at once: a seed is at most two
+    # 32-bit words, which fill the first two words of the 4-word pool; the
+    # other two words hash the missing entropy as 0 and do not depend on it.
+    seed = _integer(seed, "seed", 0, MAX_SEED)
+    seeds = np.arange(count, dtype=np.uint64)
+    seeds += np.uint64(seed)  # wraps past 2**64 - 1
+    pool = np.empty((4, count), np.uint32)
+    pool[:2] = _hashmix(seeds.astype("<u8").view("<u4").reshape(count, 2).T, slice(0, 2))
+    pool[2:] = _POOL_TAIL
+    # Every pool word mixes in the hash of each other word, in numpy's order.
+    for src, dst in enumerate(_OTHERS):
+        mixed = pool[dst]
+        mixed *= _MIX_L
+        hashed = _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src))
+        hashed *= _MIX_R
+        mixed -= hashed
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]]
+    words ^= _HASH_B[:-1]
+    words *= _HASH_B[1:]
+    words ^= words >> 16
+    # The 32-bit words pair little-endian into 64-bit ones, as numpy pairs them.
+    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [[np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+            for _ in range(copies)]
 
 
 @dataclass(frozen=True)
@@ -571,7 +645,8 @@ def _evolve(
 
     ``background`` is one background or a tuple of A arms, each run on its
     own generators; replica k of every arm draws its shares from seed
-    ``(seed + k) mod 2**64``, and ``seed`` itself must lie in [0, 2**64 - 1].
+    ``(seed + k) mod 2**64``, and ``seed`` itself must lie in [0, 2**64 - 1];
+    ``transactions`` lies in [1, 2**63 - 1], so every record index is int64.
     The ``(A * replicas, n)`` state, arm-major (arm a's replica k is row
     ``a * replicas + k``), is recorded at transaction 0, every
     ``record_every`` transactions, and at the end; ``record_every=None`` is
@@ -605,15 +680,12 @@ def _evolve(
     arms = background if isinstance(background, tuple) else (background,)
     if not arms:
         raise ParameterError("need at least one background")
-    transactions = _integer(transactions, "transactions", 1)
+    transactions = _integer(transactions, "transactions", 1, np.iinfo(np.int64).max)
     if record_every is None:
         record_every = max(1, transactions // 10_000)
     record_every = _integer(record_every, "record_every", 1)
     replicas = _integer(replicas, "replicas", 1)
-    streams = [
-        [make_rng(seed)] + [make_rng((int(seed) + k) & MAX_SEED) for k in range(1, replicas)]
-        for _ in arms
-    ]
+    streams = _seeded(seed, replicas, len(arms))
     x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = x0.size

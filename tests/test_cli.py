@@ -555,8 +555,15 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     # concordance checks its run before it solves, with the message of simulate
     capsys.readouterr()
     assert main(["concordance", "--transactions", "-5", "--out", str(tmp_path / "m")]) == 1
-    assert capsys.readouterr().err == "wealthsim: config error: transactions must be >= 1, got -5\n"
+    assert capsys.readouterr().err == ("wealthsim: config error: transactions must be in "
+                                         "[1, 9223372036854775807], got -5\n")
     assert not (tmp_path / "m").exists()
+    # a count past 2**63 - 1 is refused before stepping, even at a cadence that keeps few records
+    assert main(["simulate", "--agents", "3", "--transactions", "10000000000000000000",
+                 "--record-every", "1000000000000000000", "--out", str(tmp_path / "l")]) == 1
+    assert capsys.readouterr().err == ("wealthsim: config error: transactions must be in "
+                                         "[1, 9223372036854775807], got 10000000000000000000\n")
+    assert not (tmp_path / "l").exists()
     # a run that fails, before or after stepping, writes nothing
     for i, bad_run in enumerate(
         [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import wealthsim as ws
 from wealthsim import core
@@ -305,8 +305,9 @@ def test_generator_sequence_must_divide_count(name):
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
 def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
     # Blocks of many rows, of a few rows and of one row, for one to five
-    # replicas of one or three agents; row k of a multi-replica run is the
-    # one-replica run at seed + k, wrapping past 2**64 - 1.
+    # replicas of one or three agents; row k of a multi-replica run is step()
+    # driven by numpy's own PCG64 at seed + k, wrapping past 2**64 - 1: bit for
+    # bit at per-agent lam, to rounding at one lam (one agent).
     seed = ws.MAX_SEED - 1
     replica_counts = (1, 2, 3, 5)
     for n in (1, 3):
@@ -319,6 +320,7 @@ def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
         def run(replicas, seed):
             return _evolve(lam, wealth, bg, 700, seed, replicas, 9, lambda s: s.copy())
 
+        stepped = _repeated_steps(bg, ws.make_agents(n, lam, wealth), seed, 5, 700)
         by_budget = []
         for budget in (512 * 1024, 64 * 1024, 4 * 1024, 1):
             monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
@@ -332,18 +334,26 @@ def test_evolve_is_bit_identical_across_block_budgets(name, monkeypatch):
                 assert drift == ref_drift
         for replicas, (indices, rows, _) in zip(replica_counts, by_budget[0]):
             assert rows.shape == (indices.size, replicas, n)
-            for k in range(replicas):
-                assert np.array_equal(rows[:, k], run(1, (seed + k) & ws.MAX_SEED)[1][:, 0])
+            reference = stepped[indices, :replicas]
+            if n == 1:
+                np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(rows, reference)
+
+
+def _numpy_rng(seed):
+    # numpy's own PCG64 at ``seed``, an oracle that shares no code with make_rng.
+    return np.random.Generator(np.random.PCG64(seed % 2**64))
 
 
 def _repeated_steps(bg, params, seed, replicas, transactions):
-    # The states of ``replicas`` runs of step() at seeds seed + k, stacked as
-    # (transactions + 1, replicas, n).
+    # The states of ``replicas`` runs of step() at seeds (seed + k) mod 2**64,
+    # stacked as (transactions + 1, replicas, n).
     wealth = np.array([p.initial_wealth for p in params])
     stepped = []
     for k in range(replicas):
         state, states = ws.WealthState(0, wealth), [wealth]
-        for eps in ws.sample_epsilon_matrix(bg, transactions, wealth.size, ws.make_rng(seed + k)):
+        for eps in ws.sample_epsilon_matrix(bg, transactions, wealth.size, _numpy_rng(seed + k)):
             state = ws.step(state, params, eps)
             states.append(state.wealth)
         stepped.append(states)
@@ -1096,3 +1106,41 @@ def test_seed_validation():
 
     for seed, as_numpy in ((ws.MAX_SEED, np.uint64), (7, np.int64)):
         assert np.array_equal(rows(as_numpy(seed)), rows(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, ws.MAX_SEED),
+        st.integers(2**32 - 40, 2**32 - 1),  # replica seeds that cross into two 32-bit words
+        st.integers(ws.MAX_SEED - 39, ws.MAX_SEED),  # and that wrap past 2**64 - 1
+    ),
+    count=st.integers(1, 40),
+)
+@example(seed=0, count=1)
+@example(seed=2**32 - 1, count=2)
+@example(seed=2**32, count=1)
+@example(seed=2**63, count=3)
+@example(seed=ws.MAX_SEED, count=2)
+def test_batched_seeding_is_numpys_pcg64(seed, count):
+    # Each of the copies of a run's generators starts in the state numpy's own
+    # PCG64 takes at (seed + k) mod 2**64, and so does make_rng at that seed.
+    copies = core._seeded(seed, count, 2)
+    assert copies[0][0] is not copies[1][0]
+    for rngs in copies:
+        assert len(rngs) == count
+        for k, rng in enumerate(rngs):
+            assert rng.bit_generator.state == _numpy_rng(seed + k).bit_generator.state
+    assert ws.make_rng(seed).bit_generator.state == _numpy_rng(seed).bit_generator.state
+
+
+def test_transaction_count_is_bounded_by_int64():
+    # A count past 2**63 - 1 is refused before any stepping, whatever the
+    # cadence; the largest count passes its own check and meets the record bound.
+    params, bg = ref_params(), ws.UniformBackground()
+    for transactions in (2**63, 10**19):
+        with pytest.raises(ws.ParameterError, match=r"transactions must be in \[1, "):
+            ws.run_trajectory(params, bg, transactions, 0, 10**18)
+    with pytest.raises(ws.ParameterError, match="record count"):
+        ws.run_trajectory(params, bg, 2**63 - 1, 0, 1)
+    assert ws.run_trajectory(params, bg, 25, 0, 10).indices.dtype == np.int64
