@@ -84,34 +84,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return _seeded(seed, 1)[0][0]
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) as uint32
-# arrays, whose products wrap without a scalar-overflow warning.
-def _hash_constants(first: int, mult: int, k: int) -> np.ndarray:
-    # The constant sequence first * mult**i mod 2**32, i <= k, as a column.
-    return np.array([first * pow(mult, i, 2**32) % 2**32 for i in range(k + 1)], np.uint32)[:, None]
-
-
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # hashmix's 16 calls of one entropy mix
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 words
-_MIX_L, _MIX_R = np.array([0xCA01F9DD, 0x4973F715], np.uint32)
-
-
-def _hashmix(values: np.ndarray, calls: slice) -> np.ndarray:
-    # numpy's hashmix as the calls ``calls`` of one entropy mix, one result
-    # row per call, with ``values`` broadcast against those rows.
-    mixed = values ^ _HASH_A[calls]
-    mixed *= _HASH_A[calls.start + 1 : calls.stop + 1]
-    mixed ^= mixed >> 16
-    return mixed
-
-
-# The last two pool words of a seed below 2**64: entropy words 2 and 3 are 0.
-_POOL_TAIL = _hashmix(np.zeros(1, np.uint32), slice(2, 4))
-
-# The pool words other than each word, in numpy's order of mixing.
-_OTHERS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
-
-
 class _SeedWords(ISeedSequence):
     # The four uint64 words that PCG64 asks its seed sequence for, and no others.
     def __init__(self, words: np.ndarray) -> None:
@@ -124,31 +96,42 @@ class _SeedWords(ISeedSequence):
 def _seeded(seed: int, count: int, copies: int = 1) -> list[list[np.random.Generator]]:
     # ``copies`` lists of PCG64 generators at the seeds (seed + k) mod 2**64,
     # k < count, each in the state of ``np.random.PCG64(seed + k)``, after one
-    # check of ``seed``.  numpy's ``SeedSequence(s).generate_state(4,
-    # np.uint64)`` is computed for all seeds at once: a seed is at most two
-    # 32-bit words, which fill the first two words of the 4-word pool; the
-    # other two words hash the missing entropy as 0 and do not depend on it.
+    # check of ``seed``.  The words PCG64 asks of ``SeedSequence(seed + k)`` come
+    # from numpy's own steps (numpy/random/bit_generator.pyx: hashmix, mix,
+    # mix_entropy and generate_state), run once on uint32 arrays that hold
+    # every seed; array products wrap without a scalar-overflow warning.
+    INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+    MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+    hash_const = INIT_A
+
+    def hashmix(value: np.ndarray, mult: int = MULT_A) -> np.ndarray:
+        # generate_state runs the same steps with MULT_B.
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult % 2**32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
     seed = _integer(seed, "seed", 0, MAX_SEED)
     seeds = np.arange(count, dtype=np.uint64)
     seeds += np.uint64(seed)  # wraps past 2**64 - 1
-    pool = np.empty((4, count), np.uint32)
-    pool[:2] = _hashmix(seeds.astype("<u8").view("<u4").reshape(count, 2).T, slice(0, 2))
-    pool[2:] = _POOL_TAIL
-    # Every pool word mixes in the hash of each other word, in numpy's order.
-    for src, dst in enumerate(_OTHERS):
-        mixed = pool[dst]
-        mixed *= _MIX_L
-        hashed = _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src))
-        hashed *= _MIX_R
-        mixed -= hashed
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]]
-    words ^= _HASH_B[:-1]
-    words *= _HASH_B[1:]
-    words ^= words >> 16
-    # The 32-bit words pair little-endian into 64-bit ones, as numpy pairs them.
-    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+    # mix_entropy: the pool hashes a seed's two 32-bit words, low first, then
+    # two words of 0, as numpy hashes the pool words past a seed's entropy.
+    entropy = seeds.astype("<u8").view("<u4").reshape(count, 2).T
+    pool = [hashmix(word) for word in (*entropy, *np.zeros((2, count), np.uint32))]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:  # mix(pool[i_dst], hashmix(pool[i_src]))
+                mixed = np.uint32(MIX_MULT_L) * pool[i_dst]
+                mixed -= np.uint32(MIX_MULT_R) * hashmix(pool[i_src])
+                mixed ^= mixed >> 16
+                pool[i_dst] = mixed
+    # generate_state(4, np.uint64): eight words from the cycled pool, paired
+    # little-endian into 64-bit ones, as numpy pairs them.
+    hash_const = INIT_B
+    state = np.stack([hashmix(pool[i % 4], MULT_B) for i in range(8)], axis=1, dtype="<u4")
+    words = state.view("<u8").astype(np.uint64)
     return [[np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
             for _ in range(copies)]
 
@@ -558,6 +541,16 @@ def _total(wealth: np.ndarray) -> float:
     return total
 
 
+def _transaction(
+    state: WealthState, params: Sequence[AgentParams], epsilon: object
+) -> tuple[np.ndarray, np.ndarray]:
+    # The wealth and shares of one transaction, checked to have one entry per agent.
+    x, eps = state.wealth, _array(epsilon, "share entry", 0, 1)
+    if len(params) != x.size or eps.shape != x.shape:
+        raise ParameterError("state, params and shares must have equal length")
+    return x, eps
+
+
 def step(
     state: WealthState, params: Sequence[AgentParams], epsilon: np.ndarray
 ) -> WealthState:
@@ -566,10 +559,7 @@ def step(
     Total wealth is conserved within ``CONSERVATION_RTOL`` and every output
     entry is non-negative.
     """
-    x = state.wealth
-    eps = _array(epsilon, "share entry", 0, 1)
-    if len(params) != x.size or eps.shape != x.shape:
-        raise ParameterError("state, params and shares must have equal length")
+    x, eps = _transaction(state, params, epsilon)
     total = _total(x)
     lam = np.array([p.lam for p in params])
     # The dot and the sum of _evolve's per-agent step, so the two are bit-identical.
@@ -592,10 +582,7 @@ def pairwise_delta(
     from a's released wealth minus the amount a gains from b's.
     Antisymmetric in (a, b); zero on the diagonal.
     """
-    x = state.wealth
-    eps = _array(epsilon, "share entry", 0, 1)
-    if len(params) != x.size or eps.shape != x.shape:
-        raise ParameterError("state, params and shares must have equal length")
+    x, eps = _transaction(state, params, epsilon)
     a, b = _integer(a, "agent index", 0, x.size - 1), _integer(b, "agent index", 0, x.size - 1)
     return float(
         eps[b] * (1.0 - params[a].lam) * x[a] - eps[a] * (1.0 - params[b].lam) * x[b]
@@ -646,7 +633,9 @@ def _evolve(
     ``background`` is one background or a tuple of A arms, each run on its
     own generators; replica k of every arm draws its shares from seed
     ``(seed + k) mod 2**64``, and ``seed`` itself must lie in [0, 2**64 - 1];
-    ``transactions`` lies in [1, 2**63 - 1], so every record index is int64.
+    ``transactions`` lies in [1, 2**63 - 1], so every record index is int64,
+    and ``replicas`` is at least 1 and small enough that the float64 state
+    below fits in one array.
     The ``(A * replicas, n)`` state, arm-major (arm a's replica k is row
     ``a * replicas + k``), is recorded at transaction 0, every
     ``record_every`` transactions, and at the end; ``record_every=None`` is
@@ -684,13 +673,14 @@ def _evolve(
     if record_every is None:
         record_every = max(1, transactions // 10_000)
     record_every = _integer(record_every, "record_every", 1)
-    replicas = _integer(replicas, "replicas", 1)
-    streams = _seeded(seed, replicas, len(arms))
     x0 = np.asarray(wealth, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = x0.size
     if n < 1:
         raise ParameterError("need at least one agent")
+    replicas = _integer(replicas, "replicas", 1)
+    _within(replicas, "replicas", 1, _MAX_ARRAY_BYTES // (8 * n * len(arms)))  # the state fits
+    streams = _seeded(seed, replicas, len(arms))
     release = 1.0 - lam
     total = _total(x0)
     # At one lam the pool is the constant (1 - lam) * total, so each step is

@@ -207,9 +207,16 @@ def variance_trajectory(
     """
     lam = np.array([p.lam for p in params])
     x0 = np.array([p.initial_wealth for p in params])
-    indices, variances, drift = _evolve(
-        lam, x0, background, transactions, seed, replicas, record_every, lambda s: s.var(axis=2)
-    )
+    try:
+        with np.errstate(over="raise"):
+            indices, variances, drift = _evolve(
+                lam, x0, background, transactions, seed, replicas, record_every,
+                lambda s: s.var(axis=2),
+            )
+    except FloatingPointError:
+        raise ParameterError(
+            f"the cross-agent wealth variance overflows a float at total wealth {x0.sum():.6g}"
+        ) from None
     # C order keeps the bits of the per-arm means in compare_backgrounds.
     return indices, np.ascontiguousarray(variances.T), drift
 

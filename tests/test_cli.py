@@ -541,6 +541,13 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert not (tmp_path / "u").exists()
     assert main(["compare", *huge, "--replicas", "1", "--out", str(tmp_path / "t")]) == 1
     assert not (tmp_path / "t").exists()
+    # a finite total whose cross-agent variance overflows is refused in one line
+    capsys.readouterr()
+    assert main(["compare", "--agents", "2", "--initial-wealth", "1e307", "--transactions", "40",
+                 "--replicas", "2", "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cross-agent wealth variance" in err, err
+    assert not (tmp_path / "t").exists()
     pair = ["--lambda-x", "0.5", "--lambda-y", "0.5", "--x0", "1e308", "--y0", "1e308"]
     assert main(["concordance", *pair, "--transactions", "5", "--replicas", "2",
                  "--out", str(tmp_path / "s")]) == 1
@@ -583,6 +590,8 @@ def test_invalid_config_exits_one(tmp_path, capsys):
             ["simulate", "--agents", "3", "--transactions", "5", "--bins", too_many],
             ["solve", "--lambda-x", "0.9", "--lambda-y", "0.8", "--epsilon", "0.5", "--x0", "1",
              "--y0", "1", "--m-max", too_many],
+            ["compare", "--agents", "2", "--transactions", "1", "--replicas", too_many],
+            ["concordance", "--transactions", "1", "--replicas", str(2**62)],
         ]
     ):
         out = tmp_path / f"oversized{i}"

@@ -1134,6 +1134,18 @@ def test_batched_seeding_is_numpys_pcg64(seed, count):
     assert ws.make_rng(seed).bit_generator.state == _numpy_rng(seed).bit_generator.state
 
 
+def test_replica_count_is_bounded_by_the_state_array():
+    # A replica count whose (arms * replicas, n) float64 state outgrows any
+    # array is refused before a generator is seeded; no count near the bound runs.
+    lam, wealth, bg = np.array([0.5, 0.5]), np.array([1.0, 2.0]), ws.UniformBackground()
+    bound = core._MAX_ARRAY_BYTES // (8 * 2 * 2)
+    for replicas in (bound + 1, 10**19):
+        with pytest.raises(ws.ParameterError, match=rf"replicas must be in \[1, {bound}\]"):
+            _evolve(lam, wealth, (bg, bg), 1, 0, replicas, 1, lambda s: s.copy())
+    with pytest.raises(ws.ParameterError, match=r"replicas must be in \[1, "):
+        ws.variance_trajectory(ref_params(), bg, 1, 0, 1, replicas=2**62)
+
+
 def test_transaction_count_is_bounded_by_int64():
     # A count past 2**63 - 1 is refused before any stepping, whatever the
     # cadence; the largest count passes its own check and meets the record bound.

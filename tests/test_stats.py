@@ -333,6 +333,15 @@ def test_compare_rejects_bad_replicas_and_seed():
         ws.compare_backgrounds(params, 10, 2, -1)
 
 
+def test_compare_refuses_an_overflowing_variance():
+    # Two agents of 1e307 keep a finite total, but the squares of their
+    # deviations overflow; 1e154 stays finite and runs as before.
+    with pytest.raises(ws.ParameterError, match="cross-agent wealth variance.*2e\\+307"):
+        ws.compare_backgrounds(ws.make_agents(2, 0.9, 1e307), 40, 2, 0)
+    result = ws.compare_backgrounds(ws.make_agents(2, 0.9, 1e154), 40, 2, 41)
+    assert 0.0 < result.variance_uniform < np.inf
+
+
 def test_runs_without_agents_raise_before_any_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
