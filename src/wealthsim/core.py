@@ -59,8 +59,16 @@ _MAX_REJECTION_SWEEPS = 1000
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
 # are sized to this whatever the agent, replica and arm counts, and one
 # ``sample_epsilon_matrix`` call draws an arm's block for all its replicas.
-# Sampling streams are split-invariant, so the block size changes no result.
+# A block with too few rows for each replica's generator call to fill
+# _MIN_CALL_DRAWS draws grows towards that floor, as long as one call for all
+# replicas stays within _BLOCK_BYTES // 8 draws and the block within
+# 2 * _BLOCK_BYTES live bytes.  Sampling streams are split-invariant, so the
+# block size changes no result.
 _BLOCK_BYTES = 512 * 1024
+
+# Draws a replica's generator call should fill: each call costs about 1 µs
+# whatever its size, against 14 ns a normal draw.
+_MIN_CALL_DRAWS = 128
 
 # Most bytes of an array sized by a count: half numpy's intp limit, as np.arange refuses below it.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max // 2
@@ -68,10 +76,10 @@ _MAX_ARRAY_BYTES = np.iinfo(np.intp).max // 2
 # Smallest in-range mass a truncated Gaussian may keep.  Each draw slot gets
 # 1 + _MAX_REJECTION_SWEEPS tries, whichever replica's stream it is in, so a
 # call for one block of at most _BLOCK_BYTES // 8 draws (all replicas
-# together) runs out of sweeps with probability at most 1e-12.  A block is
-# never less than one row, so past the row bytes of ``_evolve`` (8 * R *
-# (n + 2) + 9 for R replicas, more when staged) a call draws R * n values,
-# more than this bound assumes.
+# together) runs out of sweeps with probability at most 1e-12; the draw
+# floor never takes a call past that.  A block is never less than one row,
+# so past the row bytes of ``_evolve`` (8 * R * (n + 2) + 9 for R replicas,
+# more when staged) a call draws R * n values, more than this bound assumes.
 _MIN_GAUSSIAN_MASS = 1.0 - (1e-12 / (_BLOCK_BYTES // 8)) ** (1.0 / (1 + _MAX_REJECTION_SWEEPS))
 
 
@@ -292,7 +300,7 @@ class NoiseBackground:
         rngs = _generators(rng, count, n)
         sq = self.sample_raw(count, n, rng)
         sq *= sq
-        totals = sq.sum(axis=1)
+        totals = _row_sums(sq)
         if not totals.all():
             _top_up(
                 sq,
@@ -303,13 +311,26 @@ class NoiseBackground:
                     f"{_MAX_REJECTION_SWEEPS} top-up sweeps still left all-zero raw rows"
                 ),
             )
-            totals = sq.sum(axis=1)
+            totals = _row_sums(sq)
         sq /= totals[:, None]
         return sq
 
     def mean_share(self, n: int) -> float:
         """Mean share of the first of n agents: 1/n, as i.i.d. draws make shares exchangeable."""
         return 1.0 / _integer(n, "n", 1)
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # ``a.sum(axis=-1, out=out)``, bit for bit.  Below 8 entries numpy's
+    # pairwise sum is a plain loop from +0, which a fold of the columns repeats
+    # in one ufunc call per column instead of one reduction per row (16 ns).
+    n = a.shape[-1]
+    if n >= 8:
+        return a.sum(axis=-1, out=out)
+    out = np.add(a[..., 0], 0.0, out=out)
+    for j in range(1, n):
+        np.add(out, a[..., j], out=out)
+    return out
 
 
 def _generators(rng: _Rngs, count: int, n: int) -> Sequence[np.random.Generator]:
@@ -707,9 +728,11 @@ def _evolve(
     # staged.  One block is alive at a time; a block is at least one row, so
     # a row past the budget overruns it.  A rejected Gaussian draw or an
     # all-zero raw row briefly adds a mask of the block and compacted copies
-    # of one replica's rows.
+    # of one replica's rows.  The draw floor (see _BLOCK_BYTES) may double the budget.
     row_bytes = 8 * width * ((1 + staged) * n + 2) + 9
-    per_block = max(1, _BLOCK_BYTES // row_bytes)
+    floor = min(-(-_MIN_CALL_DRAWS // n), _BLOCK_BYTES // 8 // (replicas * n),
+                2 * _BLOCK_BYTES // row_bytes)
+    per_block = max(1, _BLOCK_BYTES // row_bytes, floor)
     sums = np.empty((min(per_block, transactions), width))
     stage = np.empty((len(sums), width, n)) if staged else None
     pool = np.empty((width, 1, 1))
@@ -742,7 +765,7 @@ def _evolve(
                 prev = row
         del prev, row  # a view would keep this block alive through the next draw
         x[...] = eps[:, -1]
-        eps.sum(axis=2, out=sums[:todo].T)
+        _row_sums(eps, out=sums[:todo].T)
         on = eps[:, -(done + 1) % record_every :: record_every]  # the block's cadence rows
         c = on.shape[1]
         if c:

@@ -161,15 +161,18 @@ def detect_equilibrium(
     if np.any(np.diff(idx) < 0):
         raise ParameterError("variance series must be sorted by index")
     t = v.size
-    final_variance = float(v[-min(window, t):].mean())
+    final_variance = float(_mean(v[-min(window, t):]))
     if t <= 2 * window:
         return ConvergenceReport(False, None, window, tolerance, final_variance)
 
-    cum = np.concatenate(([0.0], np.cumsum(v)))
-    trailing = (cum[window:] - cum[:-window]) / window  # mean of v[j:j+window]
+    def trailing_means(s: np.ndarray) -> np.ndarray:  # mean of s[j:j+window]
+        cum = np.concatenate(([0.0], np.cumsum(s)))
+        return (cum[window:] - cum[:-window]) / window
+
+    trailing, _ = _rescaled(trailing_means, v)  # only their ratios are used
     change = np.abs(np.diff(trailing))
     prev = trailing[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rel = np.where(prev > 0.0, change / prev, np.where(change == 0.0, 0.0, np.inf))
     below = rel < tolerance  # below[j] <-> series position window + j
 
@@ -179,6 +182,23 @@ def detect_equilibrium(
         pos = window + int(hits[0])
         return ConvergenceReport(True, int(round(idx[pos])), window, tolerance, final_variance)
     return ConvergenceReport(False, None, window, tolerance, final_variance)
+
+
+def _mean(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    # ``a.mean(axis)``, bit for bit unless its sum overflows a finite ``a``.
+    means, scale = _rescaled(lambda s: s.mean(axis=axis), a)
+    return means * scale
+
+
+def _rescaled(f, v: np.ndarray) -> tuple[np.ndarray, float]:
+    # (f(v), 1.0) for a finite series v, or, when the sums inside f overflow
+    # (inf, or NaN from inf - inf), (f(v / peak), peak) for v's largest magnitude.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f(v)
+    if np.isfinite(out).all():
+        return out, 1.0
+    peak = float(np.abs(v).max())
+    return f(v / peak), peak
 
 
 def _window_counts(flags: np.ndarray, width: int) -> np.ndarray:
@@ -284,10 +304,10 @@ def compare_backgrounds(
 
     def arm(rows: np.ndarray) -> tuple:
         # variance, replica variances, ensemble, convergence, replica convergence
-        rep_var = [float(v[-tail:].mean()) for v in rows]
-        ens = np.mean(rows, axis=0)
+        rep_var = [float(_mean(v[-tail:])) for v in rows]
+        ens = _mean(rows, axis=0)
         conv = [detect_equilibrium(np.column_stack((indices[1:], v[1:]))) for v in (ens, *rows)]
-        return (float(np.mean(rep_var)), rep_var, ens, conv[0],
+        return (float(_mean(np.array(rep_var))), rep_var, ens, conv[0],
                 [c.equilibrium_index for c in conv[1:]])
 
     var_a, rep_var_a, ens_a, conv_a, rep_conv_a = arm(series[:replicas])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -677,6 +678,19 @@ def test_csv_fields_round_trip_exactly(tmp_path):
     _assert_ints(cols[0], report.transaction_indices)
     _assert_floats(cols[1], report.ensemble_mean_x)
     _assert_floats(cols[2], report.deterministic_x)
+
+
+def test_compare_of_variances_whose_sums_overflow_runs_clean(tmp_path):
+    # Variances near 1e307 are finite while their sums overflow: over the
+    # detection window, and with 100 replicas over the ensemble and the final
+    # tenth too.  The runs exit 0 with no RuntimeWarning, which fails the suite.
+    huge = ["compare", "--agents", "2", "--initial-wealth", "1.35e154", "--seed", "1"]
+    for transactions, replicas in (("40", "4"), ("400", "100")):
+        out = tmp_path / replicas
+        assert main([*huge, "--transactions", transactions, "--replicas", replicas,
+                     "--out", str(out)]) == 0
+        result = read_json(out / "comparison.json")
+        assert 1e305 < result["variance_gaussian"] < result["variance_uniform"] < math.inf
 
 
 def test_usage_error_exits_one():

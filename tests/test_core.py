@@ -507,6 +507,151 @@ def test_two_arm_comparison_samples_in_small_blocks(gaussian, per_agent):
     assert peak < 2**20
 
 
+class _CountingGenerator:
+    """A replica generator that records the number of draws of each call."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            drawn = method(*args, **kwargs)
+            self._sizes.append(drawn.size)
+            return drawn
+
+        return counted
+
+
+def _counted_run(arms, replicas, n, transactions):
+    # The draws of every replica generator call, by generator, and of every
+    # ``sample_epsilon_matrix`` call of an _evolve run.
+    by_generator, by_block = [], []
+    seeded, sample = core._seeded, core.sample_epsilon_matrix
+
+    def counting_seeded(seed, count, copies=1):
+        streams = seeded(seed, count, copies)
+        by_generator.extend([] for rngs in streams for _ in rngs)
+        sizes = iter(by_generator)
+        return [[_CountingGenerator(g, next(sizes)) for g in rngs] for rngs in streams]
+
+    def counting_sample(background, count, n, rng):
+        by_block.append(count * n)
+        return sample(background, count, n, rng)
+
+    lam, wealth = np.full(n, 0.9), np.linspace(1.0, 2.0, n)
+    background = tuple(ws.UniformBackground() for _ in range(arms))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_seeded", counting_seeded)
+        patch.setattr(core, "sample_epsilon_matrix", counting_sample)
+        _evolve(lam, wealth, background, transactions, 77, replicas, 1, lambda s: s[:, :, 0])
+    return by_generator, by_block
+
+
+@pytest.mark.parametrize(
+    "replicas, arms, n, rows",
+    [
+        # concordance's shape: the budget gives 16 rows of 32,009 bytes, the
+        # floor asks 64, and both caps allow 32 (65,536 draws a call for all
+        # replicas; 1 MiB of live bytes).
+        (1000, 1, 2, 32),
+        # 40 rows by the budget; the floor's 64 rows (128 draws) fit both caps.
+        (400, 1, 2, 64),
+        # 18 rows by the budget and 43 by the floor; the live-byte cap allows
+        # 37, and the call cap 31 (65,536 draws over 2,100 a row).
+        (700, 1, 3, 31),
+        # Two staged arms of 7 agents: 5 rows by the budget, 19 by the floor,
+        # and 10 by the live-byte cap (102,409 bytes a row).
+        (400, 2, 7, 10),
+        # Calls of 100 agents fill the floor in any one row: the budget rules.
+        (2, 2, 100, 80),
+    ],
+)
+def test_blocks_fill_a_floor_of_draws_per_generator_call(replicas, arms, n, rows, monkeypatch):
+    # Every generator call but a replica's last fills ``rows`` rows, at least
+    # _MIN_CALL_DRAWS draws unless a cap stops it, and no call for all of an
+    # arm's replicas draws more than _BLOCK_BYTES // 8 values.  Uniform draws
+    # need no top-up, so each generator call is one block's slab.
+    transactions = 200
+    by_generator, by_block = _counted_run(arms, replicas, n, transactions)
+    calls = -(-transactions // rows)
+    assert len(by_generator) == arms * replicas
+    last = (transactions - (calls - 1) * rows) * n
+    assert all(sizes == [rows * n] * (calls - 1) + [last] for sizes in by_generator)
+    assert len(by_block) == arms * calls
+    assert max(by_block) == replicas * rows * n <= core._BLOCK_BYTES // 8
+    row_bytes = 8 * arms * replicas * ((1 + (arms > 1)) * n + 2) + 9
+    assert rows * row_bytes <= 2 * core._BLOCK_BYTES
+    capped = (rows + 1) * row_bytes > 2 * core._BLOCK_BYTES or (
+        replicas * (rows + 1) * n > core._BLOCK_BYTES // 8
+    )
+    assert rows * n >= core._MIN_CALL_DRAWS or capped
+    assert (rows - 1) * n < core._MIN_CALL_DRAWS or rows * row_bytes <= core._BLOCK_BYTES
+    # A one-byte budget leaves the floor nothing: every block is one row.
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    by_generator, by_block = _counted_run(arms, replicas, n, transactions)
+    assert all(sizes == [n] * transactions for sizes in by_generator)
+    assert by_block == [replicas * n] * (arms * transactions)
+
+
+def test_a_concordance_block_stays_within_twice_the_budget():
+    # The draw floor may double the live bytes of a block: at concordance's
+    # shape the run's peak is at most 2 * _BLOCK_BYTES above the same run in
+    # one-row blocks, which holds the same generators, state and result rows.
+    p = ws.TwoEconomyParams(0.95, 0.8, 0.5, 1000.0, 2000.0)
+    ws.concordance(p, ws.GaussianBackground(), 1000, 3, 77)  # lazy numpy imports
+    peaks = []
+    for budget in (1, core._BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_BYTES", budget)
+            tracemalloc.start()
+            try:
+                ws.concordance(p, ws.GaussianBackground(), 1000, 200, 77)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * core._BLOCK_BYTES
+
+
+_ROW_SUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(5e299, 1.5e300),
+    st.floats(-1.5e300, -5e299),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    replicas=st.integers(1, 4),
+    rows=st.integers(1, 5),
+    data=st.data(),
+)
+def test_row_sums_are_numpys_sum_bit_for_bit(n, replicas, rows, data):
+    # Below 8 entries the fold of columns repeats numpy's plain loop; from 8 on
+    # numpy sums itself.  Checked on a C-contiguous matrix, on a replica-major
+    # (R, rows, n) block and its time-major swapped view, and into transposed
+    # outputs as _evolve writes its row sums.
+    values = data.draw(st.lists(_ROW_SUM_VALUES, min_size=replicas * rows * n,
+                                max_size=replicas * rows * n))
+    block = np.array(values).reshape(replicas, rows, n)
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    matrix = block.reshape(-1, n)
+    assert same(core._row_sums(matrix), matrix.sum(axis=-1))
+    for view in (block, block.swapaxes(0, 1)):
+        assert same(core._row_sums(view), view.sum(axis=-1))
+        out, expected = (np.empty(view.shape[-2::-1]).T for _ in range(2))
+        assert core._row_sums(view, out=out) is out
+        assert same(np.ascontiguousarray(out),
+                    np.ascontiguousarray(view.sum(axis=-1, out=expected)))
+
+
 @pytest.mark.parametrize("background", [ws.UniformBackground(), ws.GaussianBackground()])
 def test_one_generator_draws_a_writable_c_contiguous_block(background):
     # ``shares`` normalizes the block in place, and numpy's ``out=`` needs C order.

@@ -196,6 +196,27 @@ def test_detect_equilibrium_geometric_decay():
     assert rep.equilibrium_index == 50 + first_quiet
 
 
+def test_detect_equilibrium_of_a_series_whose_sums_overflow():
+    # Variances near 1e307 are finite, but their window sums are not: the
+    # detector rescales such a series and reads it as the unscaled one, with
+    # no overflow warning (RuntimeWarnings fail the suite).  A power of two
+    # scales every trailing mean exactly.
+    r, scale = 0.8735, 2.0**1020
+    m = np.arange(200)
+    values = 1.0 + r**m
+    for window in (50, 150):  # the second leaves too little data to detect
+        plain = ws.detect_equilibrium(np.column_stack((m, values)), window, 1e-3)
+        huge = ws.detect_equilibrium(np.column_stack((m, values * scale)), window, 1e-3)
+        assert huge.converged == plain.converged
+        assert huge.equilibrium_index == plain.equilibrium_index
+        assert huge.final_variance == plain.final_variance * scale
+    assert ws.detect_equilibrium([(0, 1e308), (1, 1e308)], 5).final_variance == 1e308
+    # A jump from 1e-300 whose relative change overflows is an infinite change.
+    jump = [1e-300] * 3 + [1e10] * 10
+    rep = ws.detect_equilibrium(list(enumerate(jump)), window=2, tolerance=1e-3)
+    assert rep.equilibrium_index == 5
+
+
 def test_detect_equilibrium_not_enough_data():
     rep = ws.detect_equilibrium([(0, 1.0), (1, 1.0)], window=5, tolerance=1e-3)
     assert not rep.converged
