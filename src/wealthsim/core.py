@@ -37,8 +37,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConservationError, DegenerateInputError, ParameterError
 
-#: Generator recorded in run manifests; trajectories are reproducible for a
-#: fixed (seed, config, numpy version) triple.
+#: Generator recorded in run manifests.  Artifacts are reproducible for a fixed
+#: (seed, config, numpy version) triple on one host: numpy picks some float
+#: kernels by CPU, and the vectorised ``power`` behind the closed form may round
+#: differently on another.
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 
 #: Per-step relative tolerance on the drift of total wealth.
@@ -422,19 +424,22 @@ class GaussianBackground(NoiseBackground):
             )
 
     def sample_raw(self, count: int, n: int, rng: _Rngs) -> np.ndarray:
-        # Scaling standard_normal draws gives the bits of rng.normal(mean,
-        # sigma).  The range is checked once for the whole block; only the
+        # Block and top-up draws alike are standard_normal draws put through
+        # ``scaled``.  The range is checked once for the whole block; only the
         # slab of a replica with a draw out of range is redone, on its own stream.
+        def scaled(u: np.ndarray) -> np.ndarray:
+            u *= self.sigma
+            u += self.mean
+            return u
+
         rngs = _generators(rng, count, n)
-        u = _draw(count, n, rngs, lambda g, out: g.standard_normal(out=out))
-        u *= self.sigma
-        u += self.mean
+        u = scaled(_draw(count, n, rngs, lambda g, out: g.standard_normal(out=out)))
         if u.min(initial=0.0) < 0.0 or u.max(initial=1.0) > 1.0:
             _top_up(
                 u.reshape(-1),
                 rngs,
                 lambda v: (v >= 0.0) & (v <= 1.0),
-                lambda g, m: g.normal(self.mean, self.sigma, m),
+                lambda g, m: scaled(g.standard_normal(size=m)),
                 ParameterError(
                     "rejection sampling into [0, 1] failed to terminate; "
                     "background keeps too little mass in range"

@@ -135,20 +135,26 @@ def closed_form(p: TwoEconomyParams) -> ClosedFormSolution:
 
 
 def evaluate(sol: ClosedFormSolution, m: int) -> tuple[float, float]:
-    """Trajectory value (x(m), y(m)) after m transactions; ``m`` must be an integer."""
-    m = _integer(m, "m", 0)
-    t = sol.decay_root ** m
-    x, y = sol.fixed_point_x + sol.coeff_x * t, sol.fixed_point_y + sol.coeff_y * t
-    _drift(np.array([[x + y]]), sol.total, m, "closed form: ")
-    return (float(x), float(y))
+    """(x(m), y(m)) after m transactions, m an integer in [0, 2**63 - 1]: evaluate_series' row m."""
+    m = _integer(m, "m", 0, 2**63 - 1)
+    xs, ys = _trajectory(sol, np.array([m], dtype=float), m)
+    return (float(xs[0]), float(ys[0]))
 
 
 def evaluate_series(sol: ClosedFormSolution, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized trajectory for m = 0..m_max; ``m_max`` must be an integer."""
     m_max = _integer(m_max, "m_max", 0, _MAX_ARRAY_BYTES // 8 - 1)  # m_max + 1 floats
-    powers = sol.decay_root ** np.arange(m_max + 1, dtype=float)
+    return _trajectory(sol, np.arange(m_max + 1, dtype=float), 0)
+
+
+def _trajectory(
+    sol: ClosedFormSolution, ms: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # (x(m), y(m)) at the consecutive transaction counts ``ms``, from ``first``,
+    # through numpy's vectorised power, whose bits scalar ``pow`` need not share.
+    powers = sol.decay_root ** ms
     xs, ys = sol.fixed_point_x + sol.coeff_x * powers, sol.fixed_point_y + sol.coeff_y * powers
-    _drift((xs + ys)[:, None], sol.total, 0, "closed form: ")
+    _drift((xs + ys)[:, None], sol.total, first, "closed form: ")
     return xs, ys
 
 

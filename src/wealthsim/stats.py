@@ -8,6 +8,7 @@ matched-ensemble comparison of two noise backgrounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ class Histogram:
         self.bin_edges = _array(self.bin_edges, "bin edge")
         if self.bin_edges.ndim != 1 or self.bin_edges.size < 2:
             raise ParameterError("need at least two bin edges")
-        if np.any(np.diff(self.bin_edges) <= 0.0):
+        if not _increasing(self.bin_edges):
             raise ParameterError("bin edges must be strictly increasing")
         counts = _entries(self.counts, "count")
         if counts.shape != (self.bin_edges.size - 1,):
@@ -81,10 +82,16 @@ def build_histogram(
             raise ParameterError("samples fall outside the given range")
     with np.errstate(over="ignore", invalid="ignore"):
         edges = np.linspace(lo, hi, bins + 1)  # the edges np.histogram will draw
-    if not (np.diff(edges) > 0.0).all():
+    if not _increasing(edges):
         raise ParameterError(f"cannot split [{lo!r}, {hi!r}] into {bins} bins of finite width > 0")
     counts, edges = np.histogram(s, bins=bins, range=(lo, hi))
     return Histogram(edges, counts)
+
+
+def _increasing(edges: np.ndarray) -> bool:
+    # Whether every edge lies above the one before it; a comparison, so that
+    # no width of edges a float span apart overflows.
+    return bool((edges[1:] > edges[:-1]).all())
 
 
 def _bins(value: object) -> int:
@@ -113,15 +120,21 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
     """Fit Gamma(shape, scale) by matching the first two sample moments.
 
     shape = mean**2 / variance, scale = variance / mean (population variance).
+    Moments whose sums overflow are taken over the sample scaled to its peak;
+    a variance past the largest float is refused with ``ParameterError``.
     """
     s = _array(samples, "sample", 0)
     if s.size < 2:
         raise ParameterError(f"need at least 2 samples, got {s.size}")
-    mean = float(s.mean())
-    var = float(s.var())
+    moments, peak = _rescaled(lambda v: np.array([v.mean(), v.var()]), s)
+    mean, var = moments.tolist()  # in units of peak and peak**2
     if var <= 0.0:
         raise DegenerateInputError("zero-variance sample admits no Gamma fit")
-    return GammaFit(shape=mean * mean / var, scale=var / mean, sample_mean=mean, sample_variance=var)
+    sample_var = var * peak * peak
+    if not math.isfinite(sample_var):
+        raise ParameterError(f"the sample variance overflows a float at peak {peak:.6g}")
+    return GammaFit(shape=mean * mean / var, scale=var / mean * peak, sample_mean=mean * peak,
+                    sample_variance=sample_var)
 
 
 @dataclass(frozen=True)
@@ -165,11 +178,8 @@ def detect_equilibrium(
     if t <= 2 * window:
         return ConvergenceReport(False, None, window, tolerance, final_variance)
 
-    def trailing_means(s: np.ndarray) -> np.ndarray:  # mean of s[j:j+window]
-        cum = np.concatenate(([0.0], np.cumsum(s)))
-        return (cum[window:] - cum[:-window]) / window
-
-    trailing, _ = _rescaled(trailing_means, v)  # only their ratios are used
+    # The mean of each v[j:j+window]; only their ratios are used.
+    trailing, _ = _rescaled(lambda s: _window_sums(s, window) / window, v)
     change = np.abs(np.diff(trailing))
     prev = trailing[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -177,7 +187,7 @@ def detect_equilibrium(
     below = rel < tolerance  # below[j] <-> series position window + j
 
     need = window + 1  # first quiet position plus one full confirming window
-    hits = np.flatnonzero(_window_counts(below, need) == need)
+    hits = np.flatnonzero(_window_sums(below, need) == need)
     if hits.size:
         pos = window + int(hits[0])
         return ConvergenceReport(True, int(round(idx[pos])), window, tolerance, final_variance)
@@ -201,10 +211,11 @@ def _rescaled(f, v: np.ndarray) -> tuple[np.ndarray, float]:
     return f(v / peak), peak
 
 
-def _window_counts(flags: np.ndarray, width: int) -> np.ndarray:
-    # The number of true entries in each window flags[j:j+width], in O(flags.size).
-    counts = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
-    return counts[width:] - counts[:-width]
+def _window_sums(a: np.ndarray, width: int) -> np.ndarray:
+    # The sum of each window a[j:j+width], in O(a.size): float for a float
+    # ``a``, and for a boolean one the int64 count of its true entries.
+    sums = np.concatenate(([0], np.cumsum(a, dtype=np.result_type(a, np.int64))))
+    return sums[width:] - sums[:-width]
 
 
 def variance_trajectory(

@@ -243,12 +243,10 @@ def test_shares_give_up_on_a_background_of_zero_rows():
 class _FarGenerator:
     """Stands in for a generator whose normal draws all lie 12 sigma above the mean."""
 
-    def standard_normal(self, out):
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
         out.fill(12.0)
         return out
-
-    def normal(self, mean, sigma, size):
-        return np.full(size, mean + 12.0 * sigma)
 
 
 def test_gaussian_gives_up_on_a_stream_out_of_range():
@@ -300,6 +298,20 @@ def test_generator_sequence_must_divide_count(name):
             ws.sample_epsilon_matrix(bg, count, n, rngs)
     with pytest.raises(ws.ParameterError, match="multiple"):
         ws.sample_epsilon_matrix(bg, 3, n, [])
+
+
+@pytest.mark.parametrize("name", ["uniform", "gaussian", "gaussian-rejecting"])
+def test_shares_are_normalize_epsilon_of_each_raw_row(name):
+    # normalize_epsilon is the reference normaliser that the block path repeats.
+    bg = REPLICA_BACKGROUNDS[name]
+    for n in (1, 2, 3, 7, 8, 9, 100):
+        for replicas in (1, 3):
+            seeds = range(50, 50 + replicas)
+            count = 20 * replicas
+            got = ws.sample_epsilon_matrix(bg, count, n, [ws.make_rng(s) for s in seeds])
+            raw = bg.sample_raw(count, n, [ws.make_rng(s) for s in seeds])
+            expected = np.array([ws.normalize_epsilon(row) for row in raw])
+            assert np.array_equal(got, expected), (n, replicas)
 
 
 @pytest.mark.parametrize("name", sorted(REPLICA_BACKGROUNDS))
@@ -1196,6 +1208,7 @@ _ABOVE_1 = np.nextafter(1.0, 2.0)
         pytest.param(lambda v: ws.detect_equilibrium([(0, 1.0), (1, 1.0)], v), 2, 1,
                      id="window-2"),
         pytest.param(lambda v: ws.evaluate(_solution(), v), 0, -1, id="m-0"),
+        pytest.param(lambda v: ws.evaluate(_solution(), v), 2**63 - 1, 2**63, id="m-max"),
         pytest.param(lambda v: ws.evaluate_series(_solution(), v), 0, -1, id="m_max-0"),
         pytest.param(ws.make_rng, 0, -1, id="seed-0"),
         pytest.param(ws.make_rng, ws.MAX_SEED, ws.MAX_SEED + 1, id="seed-max"),

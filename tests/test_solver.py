@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wealthsim as ws
 from wealthsim import solver
@@ -244,6 +245,19 @@ def test_evaluate_rejects_negative_m():
     assert ws.evaluate(sol, np.int64(3)) == ws.evaluate(sol, 3)
     xs, _ = ws.evaluate_series(sol, np.int64(3))
     assert xs.size == 4
+
+
+_UNIT = st.floats(0.0, 1.0)
+_WEALTH = st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNIT, _UNIT, _UNIT, _WEALTH, _WEALTH, st.integers(0, 300))
+@example(0.95, 0.8, 0.51, 1000.0, 2000.0, 6)  # REF: scalar pow rounds x(6) apart on AVX-512
+def test_evaluate_is_evaluate_series_at_its_index(lx, ly, eps, x0, y0, m):
+    sol = ws.closed_form(ws.TwoEconomyParams(lx, ly, eps, x0, y0))
+    xs, ys = ws.evaluate_series(sol, m)
+    assert ws.evaluate(sol, m) == (xs[m], ys[m])
 
 
 @pytest.mark.parametrize(

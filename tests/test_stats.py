@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wealthsim as ws
-from wealthsim.stats import _window_counts
+from wealthsim.stats import _window_sums
 
 
 # ----------------------------------------------------------------- histogram
@@ -55,11 +55,22 @@ def test_histogram_errors():
         ([1.0, 1.0000000000000002], 50, None),
         ([1.0, 1.0], 3, (1.0, 1.0000000000000002)),
         ([-1e308, 1e308], 2, None),  # the span overflows
+        ([-1.7e308, 1.7e308], 4, None),  # and the edges it draws are inf apart
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_histogram_refuses_a_span_too_narrow_for_its_bins(samples, bins, range_):
     with pytest.raises(ws.ParameterError, match=f"into {bins} bins of finite width > 0"):
         ws.build_histogram(samples, bins, range=range_)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_histogram_edges_a_float_span_apart_are_increasing():
+    # The edge check compares neighbouring edges; their width overflows.
+    h = ws.Histogram(np.array([-1.7e308, 1.7e308]), np.array([1]))
+    assert h.total == 1
+    with pytest.raises(ws.ParameterError, match="strictly increasing"):
+        ws.Histogram(np.array([0.0, 1.0, 1.0]), np.array([1, 1]))
 
 
 def test_histogram_merge_matches_concatenation():
@@ -124,6 +135,17 @@ def test_gamma_fit_recovers_parameters():
     fit = ws.gamma_fit_moments(samples)
     assert abs(fit.shape - 4.0) < 0.05
     assert abs(fit.scale - 0.5) < 0.01
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_fit_rescales_moments_whose_sums_overflow():
+    assert ws.gamma_fit_moments([1.0, 2.0, 4.0]).shape == 3.5000000000000013
+    for s in ([1e200, 3e200], [1.7e308, 1.7e308, 1e308]):
+        with pytest.raises(ws.ParameterError, match="variance overflows a float"):
+            ws.gamma_fit_moments(s)
+    # Equal samples whose sum overflows still have no variance.
+    with pytest.raises(ws.DegenerateInputError):
+        ws.gamma_fit_moments([1.7e308, 1.7e308])
 
 
 def test_gamma_fit_errors():
@@ -268,7 +290,7 @@ def test_window_counts_match_a_convolution():
         # Densities up to 1, so that some windows are all quiet.
         flags = rng.random(size) < min(1.0, 1.2 * rng.random())
         expected = np.convolve(flags.astype(np.int64), np.ones(width, np.int64), "valid")
-        got = _window_counts(flags, width)
+        got = _window_sums(flags, width)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
