@@ -314,7 +314,11 @@ class NoiseBackground:
                 ),
             )
             totals = _row_sums(sq)
-        sq /= totals[:, None]
+        if n >= 8:
+            sq /= totals[:, None]
+        else:  # one division per column, as _row_sums folds: same bits, fewer loops
+            for j in range(n):
+                sq[:, j] /= totals
         return sq
 
     def mean_share(self, n: int) -> float:

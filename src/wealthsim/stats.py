@@ -120,14 +120,22 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
     """Fit Gamma(shape, scale) by matching the first two sample moments.
 
     shape = mean**2 / variance, scale = variance / mean (population variance).
-    Moments whose sums overflow are taken over the sample scaled to its peak;
-    a variance past the largest float is refused with ``ParameterError``.
+    Moments whose sums overflow, a variance that underflows to 0 and a mean
+    whose square overflows are taken over the sample scaled to its peak; a
+    variance past the largest float is refused with ``ParameterError``.
     """
     s = _array(samples, "sample", 0)
     if s.size < 2:
         raise ParameterError(f"need at least 2 samples, got {s.size}")
-    moments, peak = _rescaled(lambda v: np.array([v.mean(), v.var()]), s)
-    mean, var = moments.tolist()  # in units of peak and peak**2
+
+    def moments(v):
+        return np.array([v.mean(), v.var()])
+
+    found, peak = _rescaled(moments, s)
+    mean, var = found.tolist()  # in units of peak and peak**2
+    if (var == 0.0 and s.min() < s.max()) or not math.isfinite(mean * mean):
+        peak = float(s.max())
+        mean, var = moments(s / peak).tolist()
     if var <= 0.0:
         raise DegenerateInputError("zero-variance sample admits no Gamma fit")
     sample_var = var * peak * peak

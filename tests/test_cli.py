@@ -680,6 +680,122 @@ def test_csv_fields_round_trip_exactly(tmp_path):
     _assert_floats(cols[2], report.deterministic_x)
 
 
+# ------------------------------------------------------------ split writing
+
+
+def split_every_csv(monkeypatch, cpus, command=None):
+    """Split every CSV into parts of one field or more over ``cpus`` CPUs.
+
+    Returns the list of worker processes started, each running ``command``
+    in place of the worker's if one is given.
+    """
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(args, **kwargs):
+        started.append(popen(command or args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "_SPLIT_FIELDS", 1)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return started
+
+
+def csv_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+SPLIT_RUNS = [
+    ["simulate", "--agents", "5", "--background", "gaussian", "--transactions", "41",
+     "--record-every", "1", "--bins", "7", "--seed", "3"],
+    ["compare", "--agents", "4", "--transactions", "61", "--replicas", "2", "--seed", "4"],
+    ["solve", "--lambda-x", "0.95", "--lambda-y", "0.8", "--epsilon", "0.51", "--x0", "1000",
+     "--y0", "2000", "--m-max", "40"],
+    ["concordance", *PAIR_FLAGS, *GAUSSIAN_RUN],
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("command", SPLIT_RUNS, ids=[r[0] for r in SPLIT_RUNS])
+def test_split_csvs_are_byte_identical_to_serial_ones(command, cpus, tmp_path, monkeypatch):
+    assert main([*command, "--out", str(tmp_path / "serial")]) == 0
+    serial = csv_bytes(tmp_path / "serial")
+    started = split_every_csv(monkeypatch, cpus)
+    assert main([*command, "--out", str(tmp_path / "split")]) == 0
+    assert all(p.poll() is not None for p in started)
+    assert csv_bytes(tmp_path / "split") == serial
+    # One worker per extra CPU for each CSV; one CPU keeps the serial path.
+    assert len(started) == (cpus - 1) * len(serial)
+
+
+EDGE_INTS = np.array([0, -1, 2**63 - 1, -(2**63), 7], dtype=np.int64)
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-5, 9.999e-05, 1e16, 1e300, -1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("rows", [1, 3, 7, 10])
+def test_split_rows_keep_every_field_and_row_order(rows, cpus, tmp_path, monkeypatch):
+    # A 1-D int column beside 2-D float columns, with fewer rows than parts
+    # (3 rows of 8 fields over 4 CPUs makes 3 parts) and odd row counts.
+    ints = np.resize(EDGE_INTS, rows)
+    wide, narrow = np.resize(EDGE_FLOATS, (rows, 5)), np.resize(EDGE_FLOATS[::-1], (rows, 2))
+    files = {"edge.csv": (["i", *"abcdefg"], ints, wide, narrow)}
+    cli._write_artifacts(str(tmp_path / "serial"), files, {}, 0.0, 0.0)
+    expected = "i,a,b,c,d,e,f,g\n" + "".join(
+        ",".join(map(repr, [i, *w, *v])) + "\n"
+        for i, w, v in zip(ints.tolist(), wide.tolist(), narrow.tolist())
+    )
+    assert (tmp_path / "serial" / "edge.csv").read_text() == expected
+    started = split_every_csv(monkeypatch, cpus)
+    cli._write_artifacts(str(tmp_path / "split"), files, {}, 0.0, 0.0)
+    assert all(p.poll() is not None for p in started)
+    assert len(started) == min(cpus, rows) - 1
+    assert (tmp_path / "split" / "edge.csv").read_text() == expected
+
+
+def test_rows_of_a_worker_that_cannot_start_are_written_in_process(tmp_path, monkeypatch):
+    assert run_simulate(tmp_path / "serial") == 0
+
+    def no_process(*args, **kwargs):
+        raise OSError("Resource temporarily unavailable")
+
+    split_every_csv(monkeypatch, 4)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert run_simulate(tmp_path / "split") == 0
+    assert csv_bytes(tmp_path / "split") == csv_bytes(tmp_path / "serial")
+
+
+def test_a_failed_worker_exits_three(tmp_path, monkeypatch, capsys):
+    started = split_every_csv(monkeypatch, 2, [sys.executable, "-c", "import sys; sys.exit(1)"])
+    assert run_simulate(tmp_path / "run") == 3
+    assert "exited with code 1" in capsys.readouterr().err
+    assert started and all(p.poll() == 1 for p in started)
+
+
+def test_a_worker_refuses_input_of_the_wrong_length():
+    from wealthsim import _rows
+
+    worker = [sys.executable, "-I", "-S", _rows.__file__, "2", "q1", "d3"]
+    rows = np.array([1, 2]).tobytes() + np.arange(6.0).tobytes()
+    done = subprocess.run(worker, input=rows, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, b"1,0.0,1.0,2.0\n2,3.0,4.0,5.0\n")
+    done = subprocess.run(worker, input=rows[:-8], capture_output=True, timeout=60)
+    assert done.returncode == 1 and b"expected 64 bytes on stdin, got 56" in done.stderr
+
+
+def test_workers_are_stopped_when_the_parent_cannot_write(tmp_path, monkeypatch):
+    def full_disk(*args):
+        raise OSError("No space left on device")
+
+    started = split_every_csv(monkeypatch, 4, [sys.executable, "-c", "import time; time.sleep(60)"])
+    monkeypatch.setattr(cli, "_row_fields", full_disk)
+    assert run_simulate(tmp_path / "run") == 3
+    assert len(started) == 3
+    # Killed, not waited for through their minute of sleep.
+    assert all(p.poll() is not None and p.returncode != 0 for p in started)
+
+
 def test_compare_of_variances_whose_sums_overflow_runs_clean(tmp_path):
     # Variances near 1e307 are finite while their sums overflow: over the
     # detection window, and with 100 replicas over the ensemble and the final

@@ -235,6 +235,16 @@ def test_shares_drop_zero_rows_in_stream_order():
     assert np.array_equal(whole.sum(axis=1), np.ones(60))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_shares_divide_by_row_totals_bit_for_bit(n):
+    # Below 8 agents each column is divided by the row totals in turn; the
+    # bits are those of one division by the broadcast totals.
+    for bg in (ws.UniformBackground(), ws.GaussianBackground(0.3, 0.4)):
+        got = bg.shares(500, n, ws.make_rng(3))
+        sq = np.square(bg.sample_raw(500, n, ws.make_rng(3)))
+        assert got.tobytes() == (sq / sq.sum(axis=1)[:, None]).tobytes()
+
+
 def test_shares_give_up_on_a_background_of_zero_rows():
     with pytest.raises(ws.DegenerateInputError):
         ws.sample_epsilon_matrix(_ZeroBackground(), 3, 2, ws.make_rng(0))

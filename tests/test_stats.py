@@ -148,6 +148,28 @@ def test_gamma_fit_rescales_moments_whose_sums_overflow():
         ws.gamma_fit_moments([1.7e308, 1.7e308])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_fit_rescales_moments_out_of_float_range():
+    # The variance 1e-340 underflows to 0, though the samples differ.
+    fit = ws.gamma_fit_moments([1e-170, 3e-170])
+    assert fit.shape == pytest.approx(4.0, rel=1e-15)
+    assert fit.scale == pytest.approx(5e-171, rel=1e-15)
+    # The mean's square 1e320 overflows, though the variance 2.5e299 does not;
+    # the true shape is 3.99999488...e20 (exact rational arithmetic).
+    fit = ws.gamma_fit_moments([1e160, 1.0000000001e160])
+    assert fit.shape == pytest.approx(3.99999488646372e20, rel=1e-5)
+    assert fit.scale == pytest.approx(2.500003196089261e139, rel=1e-5)
+    assert fit.sample_variance == pytest.approx(2.5e299, rel=1e-5)
+
+
+def test_gamma_fit_of_an_ordinary_sample_is_the_plain_moment_formula():
+    s = ws.make_rng(8).gamma(3.0, 2.0, size=1001)
+    mean, var = s.mean(), s.var()
+    fit = ws.gamma_fit_moments(s)
+    assert (fit.shape, fit.scale) == (mean * mean / var, var / mean)
+    assert (fit.sample_mean, fit.sample_variance) == (mean, var)
+
+
 def test_gamma_fit_errors():
     with pytest.raises(ws.DegenerateInputError):
         ws.gamma_fit_moments(np.full(10, 2.0))
