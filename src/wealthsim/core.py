@@ -314,11 +314,7 @@ class NoiseBackground:
                 ),
             )
             totals = _row_sums(sq)
-        if n >= 8:
-            sq /= totals[:, None]
-        else:  # one division per column, as _row_sums folds: same bits, fewer loops
-            for j in range(n):
-                sq[:, j] /= totals
+        sq /= totals[:, None]
         return sq
 
     def mean_share(self, n: int) -> float:

@@ -9,6 +9,7 @@ matched-ensemble comparison of two noise backgrounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,9 +121,9 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
     """Fit Gamma(shape, scale) by matching the first two sample moments.
 
     shape = mean**2 / variance, scale = variance / mean (population variance).
-    Moments whose sums overflow, a variance that underflows to 0 and a mean
-    whose square overflows are taken over the sample scaled to its peak; a
-    variance past the largest float is refused with ``ParameterError``.
+    Moments whose sums overflow, and a variance or squared mean that leaves
+    the range of normal floats, are taken over the sample scaled to its peak;
+    a variance past the largest float is refused with ``ParameterError``.
     """
     s = _array(samples, "sample", 0)
     if s.size < 2:
@@ -133,7 +134,8 @@ def gamma_fit_moments(samples: Sequence[float] | np.ndarray) -> GammaFit:
 
     found, peak = _rescaled(moments, s)
     mean, var = found.tolist()  # in units of peak and peak**2
-    if (var == 0.0 and s.min() < s.max()) or not math.isfinite(mean * mean):
+    tiny = sys.float_info.min  # below it a float loses bits to gradual underflow
+    if s.min() < s.max() and (var < tiny or not tiny <= mean * mean < math.inf):
         peak = float(s.max())
         mean, var = moments(s / peak).tolist()
     if var <= 0.0:

@@ -237,8 +237,7 @@ def test_shares_drop_zero_rows_in_stream_order():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_shares_divide_by_row_totals_bit_for_bit(n):
-    # Below 8 agents each column is divided by the row totals in turn; the
-    # bits are those of one division by the broadcast totals.
+    # The shares are the squared raw draws over their row totals, bit for bit.
     for bg in (ws.UniformBackground(), ws.GaussianBackground(0.3, 0.4)):
         got = bg.shares(500, n, ws.make_rng(3))
         sq = np.square(bg.sample_raw(500, n, ws.make_rng(3)))

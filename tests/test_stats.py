@@ -152,14 +152,29 @@ def test_gamma_fit_rescales_moments_whose_sums_overflow():
 def test_gamma_fit_rescales_moments_out_of_float_range():
     # The variance 1e-340 underflows to 0, though the samples differ.
     fit = ws.gamma_fit_moments([1e-170, 3e-170])
-    assert fit.shape == pytest.approx(4.0, rel=1e-15)
-    assert fit.scale == pytest.approx(5e-171, rel=1e-15)
+    assert fit.shape == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert fit.scale == pytest.approx(5e-171, rel=1e-15, abs=0.0)
+    # The variance 1e-322 is subnormal and keeps only 20 steps of 5e-324;
+    # taken as it is, it would give shape 4.05 and scale 4.94e-162.
+    fit = ws.gamma_fit_moments([1e-161, 3e-161])
+    assert fit.shape == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert fit.scale == pytest.approx(5e-162, rel=1e-15, abs=0.0)
+    # The variance 2.5e-319 is subnormal, though the mean's square 1e-306 is
+    # not; the true shape is 4000004000682.6... (exact rational arithmetic).
+    fit = ws.gamma_fit_moments([1e-153, 1.000001e-153])
+    assert fit.shape == pytest.approx(4000004000682.6, rel=1e-9, abs=0.0)
+    assert fit.scale == pytest.approx(2.4999987495746256e-166, rel=1e-9, abs=0.0)
+    # The mean's square 1e-310 is subnormal, though the variance 9.99e-308 is
+    # not; the true shape is 1/999.
+    fit = ws.gamma_fit_moments([0.0] * 999 + [1e-152])
+    assert fit.shape == pytest.approx(1 / 999, rel=1e-15, abs=0.0)
+    assert fit.scale == pytest.approx(9.99e-153, rel=1e-15, abs=0.0)
     # The mean's square 1e320 overflows, though the variance 2.5e299 does not;
     # the true shape is 3.99999488...e20 (exact rational arithmetic).
     fit = ws.gamma_fit_moments([1e160, 1.0000000001e160])
-    assert fit.shape == pytest.approx(3.99999488646372e20, rel=1e-5)
-    assert fit.scale == pytest.approx(2.500003196089261e139, rel=1e-5)
-    assert fit.sample_variance == pytest.approx(2.5e299, rel=1e-5)
+    assert fit.shape == pytest.approx(3.99999488646372e20, rel=1e-5, abs=0.0)
+    assert fit.scale == pytest.approx(2.500003196089261e139, rel=1e-5, abs=0.0)
+    assert fit.sample_variance == pytest.approx(2.5e299, rel=1e-5, abs=0.0)
 
 
 def test_gamma_fit_of_an_ordinary_sample_is_the_plain_moment_formula():
