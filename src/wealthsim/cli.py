@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
@@ -103,9 +104,8 @@ def _write_artifacts(
     floats.  Commands call this only after the run has succeeded, so a
     failed command writes nothing, not even ``output_dir``.
 
-    A large CSV is formatted by worker processes, one per extra CPU (see
-    ``_write_rows``); its bytes are those one process would write.  A worker
-    that fails raises OSError, which the CLI reports with exit 3.
+    CSV rows are written by ``_write_rows``, with worker processes for a
+    large CSV.
     """
     manifest = {
         "config": config_echo,
@@ -120,9 +120,13 @@ def _write_artifacts(
         },
     }
     out = Path(output_dir)
+    try:
+        os.fsencode(out)
+    except UnicodeEncodeError:  # "é" from a UTF-8 config under LC_ALL=C: name it in UTF-8
+        out = Path(os.fsdecode(output_dir.encode("utf-8")))
     out.mkdir(parents=True, exist_ok=True)
     for name, content in {**files, "manifest.json": manifest}.items():
-        with open(out / name, "w", newline="") as f:
+        with open(out / name, "w", encoding="utf-8", newline="") as f:
             if not name.endswith(".csv"):
                 f.write(json.dumps(content, indent=2) + "\n")
                 continue
@@ -136,11 +140,6 @@ def _write_artifacts(
 #: about 36k fields, so a part of this size saves at least about 25 ms.
 _SPLIT_FIELDS = 1 << 17
 
-#: Column dtype -> the array typecode a worker reads it as.  A column of any
-#: other dtype (``np.arange`` gives int32 on Windows under numpy 1.x) keeps
-#: its CSV in this process.
-_TYPECODES = {np.dtype(np.int64): "q", np.dtype(np.float64): "d"}
-
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -149,57 +148,50 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _row_fields(columns, lo, hi):
-    # One row at a time: a whole-array tolist() would hold every record as
-    # Python floats at once.
-    return [map(np.ndarray.tolist, c[lo:hi]) if c.ndim == 2 else ([v] for v in c[lo:hi].tolist())
-            for c in columns]
-
-
 def _write_rows(f, columns) -> None:
     """Write the CSV rows of ``columns`` to the text file ``f``.
 
-    With one part, this process formats every row.  A larger CSV is split
-    into one part of rows per CPU: this process formats the first, and a
-    worker process running ``_rows.py`` formats each other into a temporary
-    file, which is appended to ``f`` in order.  A worker that cannot be
-    started leaves its rows to this process; one that fails raises OSError.
-    Every worker has ended when this returns or raises.
+    The rows are split into one part per CPU, or fewer, so that each part
+    holds at least ``_SPLIT_FIELDS`` fields.  This process formats the first
+    part, and a worker process running ``_rows.py`` formats each other into
+    a temporary file, which is appended to ``f`` in order.  Both read the
+    columns as the same flat buffers through ``_rows.lines``, so the bytes
+    are those one process writes.  The rows of a worker that cannot be
+    started, or whose temporary files cannot be made, are formatted by this
+    process; a worker that fails raises OSError, which the CLI reports with
+    exit 3.  Every worker has ended when this returns or raises.
     """
     rows = len(columns[0])
-    parts = min(_cpus(), sum(c.size for c in columns) // _SPLIT_FIELDS, rows)
-    codes = [_TYPECODES.get(c.dtype) for c in columns]
-    if parts < 2 or None in codes:
-        f.writelines(_rows.lines(_row_fields(columns, 0, rows)))
-        return
-    import subprocess  # here, not at the top: it adds about 4 ms to this module's import
-    import tempfile
-
-    spec = [f"{code}{c.size // rows}" for code, c in zip(codes, columns)]
+    parts = max(1, min(_cpus(), sum(c.size for c in columns) // _SPLIT_FIELDS, rows))
+    flat = [(memoryview(c.ravel()), math.prod(c.shape[1:])) for c in columns]
+    spec = [f"{view.format}{width}" for view, width in flat]
     bounds = [rows * k // parts for k in range(parts + 1)]
-    pieces = []  # (lo, hi, worker or None if it could not start, its output file)
+    pieces = []  # (lo, hi, worker or None if this process formats the rows, its output file)
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            # The worker reads its rows from a file, not a pipe, so this
-            # process does not wait on the worker's start-up to hand them over.
-            with tempfile.TemporaryFile() as given:
-                for c in columns:
-                    given.write(memoryview(np.ascontiguousarray(c[lo:hi])))
-                given.seek(0)
+            import subprocess  # here: only a split CSV needs them, and they take about 4 ms
+            import tempfile
+
+            proc = made = None
+            try:
                 made = tempfile.TemporaryFile()
-                pieces.append((lo, hi, None, made))
-                try:
+                # The worker reads its rows from a file, not a pipe, so this
+                # process does not wait on the worker's start-up to hand them over.
+                with tempfile.TemporaryFile() as given:
+                    for view, width in flat:
+                        given.write(view[lo * width:hi * width])
+                    given.seek(0)
                     proc = subprocess.Popen(
                         [sys.executable, "-I", "-S", _rows.__file__, str(hi - lo), *spec],
                         stdin=given, stdout=made,
                     )
-                except OSError:  # this process formats these rows instead
-                    continue
-                pieces[-1] = (lo, hi, proc, made)
-        f.writelines(_rows.lines(_row_fields(columns, 0, bounds[1])))
+            except OSError:  # this process formats these rows instead
+                pass
+            pieces.append((lo, hi, proc, made))
+        f.writelines(_rows.lines(flat, 0, bounds[1]))
         for lo, hi, proc, made in pieces:
             if proc is None:
-                f.writelines(_rows.lines(_row_fields(columns, lo, hi)))
+                f.writelines(_rows.lines(flat, lo, hi))
                 continue
             if proc.wait() != 0:
                 raise OSError(f"CSV worker for rows {lo}-{hi} exited with code {proc.returncode}")
@@ -211,7 +203,8 @@ def _write_rows(f, columns) -> None:
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()
-            made.close()
+            if made is not None:
+                made.close()
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -446,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             loaded = json.load(f)
         except ValueError as exc:  # not JSON, or an integer of more than 4300 digits

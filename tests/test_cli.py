@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +449,27 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[-1][0] == "60"
 
 
+def test_utf8_config_runs_under_an_ascii_locale(tmp_path):
+    # Under LC_ALL=C with UTF-8 mode off, the locale's encoding is ASCII: the
+    # config is still read as UTF-8, and its directory is named in UTF-8.
+    run = ["simulate", "--agents", "3", "--background", "gaussian", "--transactions", "40",
+           "--record-every", "1", "--seed", "5"]
+    assert main([*run, "--out", str(tmp_path / "default")]) == 0
+    runs, config = tmp_path / "runs", tmp_path / "config.json"
+    runs.mkdir()
+    output_dir = str(runs / "r\u00e9sultats")
+    config.write_text(json.dumps({"output_dir": output_dir}, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "wealthsim.cli", *run, "--config", str(config)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (out,) = runs.iterdir()
+    assert os.fsencode(out.name) == "r\u00e9sultats".encode("utf-8")
+    assert csv_bytes(out) == csv_bytes(tmp_path / "default")
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"agents": 4, "no_such_key": 1}))
@@ -733,18 +756,21 @@ EDGE_INTS = np.array([0, -1, 2**63 - 1, -(2**63), 7], dtype=np.int64)
 EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-5, 9.999e-05, 1e16, 1e300, -1.7976931348623157e308])
 
 
-@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("rows", [1, 3, 7, 10])
 def test_split_rows_keep_every_field_and_row_order(rows, cpus, tmp_path, monkeypatch):
-    # A 1-D int column beside 2-D float columns, with fewer rows than parts
-    # (3 rows of 8 fields over 4 CPUs makes 3 parts) and odd row counts.
+    # 1-D int64 and int32 columns beside 2-D float columns, one of them not
+    # contiguous, with fewer rows than parts (3 rows of 10 fields over 4 CPUs
+    # makes 3 parts) and odd row counts.  One CPU makes one part.
     ints = np.resize(EDGE_INTS, rows)
-    wide, narrow = np.resize(EDGE_FLOATS, (rows, 5)), np.resize(EDGE_FLOATS[::-1], (rows, 2))
-    files = {"edge.csv": (["i", *"abcdefg"], ints, wide, narrow)}
+    small = np.resize(np.array([-(2**31), 2**31 - 1, 0, -5], dtype=np.int32), rows)
+    wide = np.resize(EDGE_FLOATS, (rows, 5))
+    narrow = np.resize(EDGE_FLOATS[::-1], (rows, 2))[:, ::-1]
+    files = {"edge.csv": (["i", "s", *"abcdefg"], ints, small, wide, narrow)}
     cli._write_artifacts(str(tmp_path / "serial"), files, {}, 0.0, 0.0)
-    expected = "i,a,b,c,d,e,f,g\n" + "".join(
-        ",".join(map(repr, [i, *w, *v])) + "\n"
-        for i, w, v in zip(ints.tolist(), wide.tolist(), narrow.tolist())
+    expected = "i,s,a,b,c,d,e,f,g\n" + "".join(
+        ",".join(map(repr, [i, s, *w, *v])) + "\n"
+        for i, s, w, v in zip(ints.tolist(), small.tolist(), wide.tolist(), narrow.tolist())
     )
     assert (tmp_path / "serial" / "edge.csv").read_text() == expected
     started = split_every_csv(monkeypatch, cpus)
@@ -766,6 +792,19 @@ def test_rows_of_a_worker_that_cannot_start_are_written_in_process(tmp_path, mon
     assert csv_bytes(tmp_path / "split") == csv_bytes(tmp_path / "serial")
 
 
+def test_rows_of_a_worker_without_temporary_files_are_written_in_process(tmp_path, monkeypatch):
+    assert run_simulate(tmp_path / "serial") == 0
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    started = split_every_csv(monkeypatch, 4)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
+    assert run_simulate(tmp_path / "split") == 0
+    assert csv_bytes(tmp_path / "split") == csv_bytes(tmp_path / "serial")
+    assert started == []
+
+
 def test_a_failed_worker_exits_three(tmp_path, monkeypatch, capsys):
     started = split_every_csv(monkeypatch, 2, [sys.executable, "-c", "import sys; sys.exit(1)"])
     assert run_simulate(tmp_path / "run") == 3
@@ -784,12 +823,25 @@ def test_a_worker_refuses_input_of_the_wrong_length():
     assert done.returncode == 1 and b"expected 64 bytes on stdin, got 56" in done.stderr
 
 
+def test_a_worker_imports_only_sys_and_itertools():
+    from wealthsim import _rows
+
+    worker = [sys.executable, "-I", "-S", "-X", "importtime", _rows.__file__, "1", "q1", "d2"]
+    rows = np.array([1], dtype=np.int64).tobytes() + np.arange(2.0).tobytes()
+    done = subprocess.run(worker, input=rows, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, b"1,0.0,1.0\n")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()}
+    assert "itertools" in imported
+    heavy = {"numpy", "wealthsim", "os", "shutil", "subprocess", "tempfile", "array"}
+    assert not {name.split(".")[0] for name in imported} & heavy
+
+
 def test_workers_are_stopped_when_the_parent_cannot_write(tmp_path, monkeypatch):
     def full_disk(*args):
         raise OSError("No space left on device")
 
     started = split_every_csv(monkeypatch, 4, [sys.executable, "-c", "import time; time.sleep(60)"])
-    monkeypatch.setattr(cli, "_row_fields", full_disk)
+    monkeypatch.setattr(cli._rows, "lines", full_disk)
     assert run_simulate(tmp_path / "run") == 3
     assert len(started) == 3
     # Killed, not waited for through their minute of sleep.
