@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
-import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -104,8 +102,8 @@ def _write_artifacts(
     floats.  Commands call this only after the run has succeeded, so a
     failed command writes nothing, not even ``output_dir``.
 
-    CSV rows are written by ``_write_rows``, with worker processes for a
-    large CSV.
+    Every artifact is ASCII, written in binary mode.  CSVs are written by
+    ``_rows.write``, with worker processes for a large CSV.
     """
     manifest = {
         "config": config_echo,
@@ -126,85 +124,11 @@ def _write_artifacts(
         out = Path(os.fsdecode(output_dir.encode("utf-8")))
     out.mkdir(parents=True, exist_ok=True)
     for name, content in {**files, "manifest.json": manifest}.items():
-        with open(out / name, "w", encoding="utf-8", newline="") as f:
-            if not name.endswith(".csv"):
-                f.write(json.dumps(content, indent=2) + "\n")
-                continue
-            header, *columns = content
-            f.write(",".join(header) + "\n")
-            _write_rows(f, columns)
-
-
-#: Fields a CSV needs per part before its rows are split between processes.
-#: A worker starts in about 10 ms, the time this process takes to format
-#: about 36k fields, so a part of this size saves at least about 25 ms.
-_SPLIT_FIELDS = 1 << 17
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_rows(f, columns) -> None:
-    """Write the CSV rows of ``columns`` to the text file ``f``.
-
-    The rows are split into one part per CPU, or fewer, so that each part
-    holds at least ``_SPLIT_FIELDS`` fields.  This process formats the first
-    part, and a worker process running ``_rows.py`` formats each other into
-    a temporary file, which is appended to ``f`` in order.  Both read the
-    columns as the same flat buffers through ``_rows.lines``, so the bytes
-    are those one process writes.  The rows of a worker that cannot be
-    started, or whose temporary files cannot be made, are formatted by this
-    process; a worker that fails raises OSError, which the CLI reports with
-    exit 3.  Every worker has ended when this returns or raises.
-    """
-    rows = len(columns[0])
-    parts = max(1, min(_cpus(), sum(c.size for c in columns) // _SPLIT_FIELDS, rows))
-    flat = [(memoryview(c.ravel()), math.prod(c.shape[1:])) for c in columns]
-    spec = [f"{view.format}{width}" for view, width in flat]
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    pieces = []  # (lo, hi, worker or None if this process formats the rows, its output file)
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            import subprocess  # here: only a split CSV needs them, and they take about 4 ms
-            import tempfile
-
-            proc = made = None
-            try:
-                made = tempfile.TemporaryFile()
-                # The worker reads its rows from a file, not a pipe, so this
-                # process does not wait on the worker's start-up to hand them over.
-                with tempfile.TemporaryFile() as given:
-                    for view, width in flat:
-                        given.write(view[lo * width:hi * width])
-                    given.seek(0)
-                    proc = subprocess.Popen(
-                        [sys.executable, "-I", "-S", _rows.__file__, str(hi - lo), *spec],
-                        stdin=given, stdout=made,
-                    )
-            except OSError:  # this process formats these rows instead
-                pass
-            pieces.append((lo, hi, proc, made))
-        f.writelines(_rows.lines(flat, 0, bounds[1]))
-        for lo, hi, proc, made in pieces:
-            if proc is None:
-                f.writelines(_rows.lines(flat, lo, hi))
-                continue
-            if proc.wait() != 0:
-                raise OSError(f"CSV worker for rows {lo}-{hi} exited with code {proc.returncode}")
-            f.flush()
-            made.seek(0)
-            shutil.copyfileobj(made, f.buffer)
-    finally:
-        for _, _, proc, made in pieces:
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            if made is not None:
-                made.close()
+        with open(out / name, "wb") as f:
+            if name.endswith(".csv"):
+                _rows.write(f, content[0], content[1:])
+            else:  # ASCII: json.dumps escapes every other character
+                f.write(json.dumps(content, indent=2).encode() + b"\n")
 
 
 def cmd_simulate(config: RunConfig) -> int:

@@ -719,8 +719,8 @@ def split_every_csv(monkeypatch, cpus, command=None):
         started.append(popen(command or args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(cli, "_SPLIT_FIELDS", 1)
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli._rows, "_SPLIT_FIELDS", 1)
+    monkeypatch.setattr(cli._rows, "_cpus", lambda: cpus)
     monkeypatch.setattr(subprocess, "Popen", recording_popen)
     return started
 
@@ -834,6 +834,15 @@ def test_a_worker_imports_only_sys_and_itertools():
     assert "itertools" in imported
     heavy = {"numpy", "wealthsim", "os", "shutil", "subprocess", "tempfile", "array"}
     assert not {name.split(".")[0] for name in imported} & heavy
+
+
+def test_cpus_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
+    # Hosts without sched_getaffinity split by os.cpu_count(), or keep one
+    # part when even that is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._rows._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._rows._cpus() == 1
 
 
 def test_workers_are_stopped_when_the_parent_cannot_write(tmp_path, monkeypatch):

@@ -879,6 +879,52 @@ def test_trajectory_matches_repeated_step():
         assert recorded.transaction_index == st.transaction_index
 
 
+def test_per_agent_steps_end_at_the_exact_fixed_point():
+    # With constant shares eps and every lam_j < 1, the one fixed point of
+    # x' = lam x + eps P is x*_j = W (eps_j / r_j) / sum_k (eps_k / r_k) with
+    # r = 1 - lam.  Every other eigenvalue of the step lies in [0.2, 0.9), so
+    # 500 transactions leave a gap of order 0.9**500 ~ 1e-23 of W.  The final
+    # state and its variance are checked for one replica, for three stepped
+    # in strided rows, and for two arms of three staged, the second arm's
+    # shares reversed so that agent 0 is the one with none.
+    lam = np.array([0.2, 0.5, 0.7, 0.9, 0.6])
+    shares = (np.array([0.1, 0.2, 0.3, 0.4, 0.0]), np.array([0.0, 0.4, 0.3, 0.2, 0.1]))
+    wealth = np.array([300.0, 5.0, 60.0, 0.0, 135.0])
+    total = wealth.sum()
+    params = ws.make_agents(5, lam, wealth)
+    arms = tuple(ws.ConstantBackground(eps) for eps in shares)
+    fixed = [total * (eps / (1 - lam)) / (eps / (1 - lam)).sum() for eps in shares]
+
+    traj = ws.run_trajectory(params, arms[0], 500, 0, record_every=100)
+    assert np.abs(traj.final.wealth - fixed[0]).max() <= 1e-9 * total
+    _, v, _ = ws.variance_trajectory(params, arms[0], 500, 0, 100, replicas=3)
+    assert np.abs(v[:, -1] - np.var(fixed[0])).max() <= 1e-9 * total**2
+    _, v, _ = ws.variance_trajectory(params, arms, 500, 0, 100, replicas=3)
+    expected = np.repeat([np.var(x) for x in fixed], 3)
+    assert np.abs(v[:, -1] - expected).max() <= 1e-9 * total**2
+
+
+def test_iid_ensemble_mean_is_the_constant_uniform_share_path():
+    # Under an i.i.d. background each share has mean 1/n and is independent
+    # of the state it multiplies, so E[x_m] is exactly the path of the
+    # constant shares 1/n.  2000 replicas of three per-agent lams: every
+    # agent's ensemble mean at each of 60 transactions lies within 5
+    # standard errors of that path, a bound fixed before the run.
+    lam, wealth, replicas = np.array([0.3, 0.6, 0.9]), np.array([10.0, 60.0, 30.0]), 2000
+
+    def moments(s):
+        return np.stack([s.sum(axis=1), (s * s).sum(axis=1)], axis=1)
+
+    _, rows, _ = _evolve(lam, wealth, ws.UniformBackground(), 60, 17, replicas, 1, moments)
+    mean = rows[1:, 0] / replicas
+    sd = np.sqrt((rows[1:, 1] - replicas * mean**2) / (replicas - 1))
+    path = ws.run_trajectory(ws.make_agents(3, lam, wealth),
+                             ws.ConstantBackground(np.full(3, 1 / 3)), 60, 0).wealth[1:]
+    z = (mean - path) / (sd / np.sqrt(replicas))
+    assert z.shape == (60, 3)
+    assert np.abs(z).max() <= 5
+
+
 def test_trajectory_conserves_under_noise():
     params = ws.make_agents(20, np.linspace(0.0, 0.99, 20), 50.0)
     for bg in (ws.UniformBackground(), ws.GaussianBackground()):
