@@ -17,12 +17,15 @@ line is ASCII, so no side depends on the locale's encoding.
 """
 
 import sys
-from itertools import chain
 
 #: Fields a CSV needs per part before its rows are split between processes.
 #: A worker starts in about 10 ms, the time this process takes to format
 #: about 36k fields, so a part of this size saves at least about 25 ms.
 _SPLIT_FIELDS = 1 << 17
+
+#: Rows formatted together: a 1-D column's fields in a chunk come from one
+#: ``tolist()`` and one ``map(repr, ...)``, and the chunk's lines are one bytes object.
+_CHUNK_ROWS = 256
 
 
 def _cpus() -> int:
@@ -96,21 +99,23 @@ def write(f, header, columns) -> None:
 
 
 def lines(columns, lo, hi):
-    """Yield the CSV lines of rows ``lo`` to ``hi`` as ASCII bytes.
+    """Yield the CSV lines of rows ``lo`` to ``hi`` as ASCII bytes, up to ``_CHUNK_ROWS`` at a time.
 
     ``columns`` holds, per column, a flat memoryview of its values and its
     fields per row.  A field is the ``repr`` of a Python int or float.
     """
-    fields = [_row_lists(view, width, lo, hi) for view, width in columns]
-    return ((",".join(map(repr, chain.from_iterable(r))) + "\n").encode() for r in zip(*fields))
+    for start in range(lo, hi, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, hi)
+        fields = [_fields(view, width, start, stop) for view, width in columns]
+        yield ("\n".join(map(",".join, zip(*fields))) + "\n").encode()
 
 
-def _row_lists(view, width, lo, hi):
+def _fields(view, width, lo, hi):
+    # The fields of rows lo to hi of one column, joined into one string per row.
     if width == 1:
-        return ([v] for v in view[lo:hi].tolist())
-    # One row at a time: a whole-part tolist() would hold every field of the
-    # part as Python objects at once.
-    return (view[i:i + width].tolist() for i in range(lo * width, hi * width, width))
+        return list(map(repr, view[lo:hi].tolist()))
+    return [",".join(map(repr, view[i:i + width].tolist()))
+            for i in range(lo * width, hi * width, width)]
 
 
 def main(argv) -> int:

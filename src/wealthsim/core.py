@@ -29,12 +29,17 @@ vector.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from . import _rows
 from .errors import ConservationError, DegenerateInputError, ParameterError
 
 #: Generator recorded in run manifests.  Artifacts are reproducible for a fixed
@@ -61,6 +66,9 @@ _MAX_REJECTION_SWEEPS = 1000
 # Bytes of the arrays one sampling block of ``_evolve`` keeps live; blocks
 # are sized to this whatever the agent, replica and arm counts, and one
 # ``sample_epsilon_matrix`` call draws an arm's block for all its replicas.
+# A staged run that forks splits these bytes between two processes: the
+# caller holds the block's shares, the child the row sums and drift, and both
+# map the one shared stage, which is counted once.
 # A block with too few rows for each replica's generator call to fill
 # _MIN_CALL_DRAWS draws grows towards that floor, as long as one call for all
 # replicas stays within _BLOCK_BYTES // 8 draws and the block within
@@ -674,7 +682,7 @@ def _evolve(
     wealth; raises ``ConservationError`` after a block that ends with
     negative wealth or in which drift passed tolerance.
 
-    One loop steps every block: each new state is written into the share
+    One function steps every block: each new state is written into the share
     row it was stepped from, then one sum gives the drift check's row totals
     and one view of the block's cadence rows its records; the initial state,
     and a final one off cadence, are recorded from the state vector.  Only
@@ -691,6 +699,14 @@ def _evolve(
     one transaction's shares for all rows are contiguous for the step's
     ufuncs; a one-arm run steps the sampled block in place, as a stage would
     cut its rows per block, by up to half, and so add generator calls.
+    A staged run of two blocks or more, on a host with ``os.fork`` where
+    this process may use two CPUs or more (busy or idle, as the CSV writer
+    counts them), steps in a forked child while this process samples the
+    next block: see ``_forked``.  This process draws every share, in the
+    order a one-process run draws them, so the results are the same bits;
+    the child steps, records and checks each block in the stage, which is
+    one anonymous shared mapping, and sends back the result rows and the
+    drift, or its exception.
     """
     arms = background if isinstance(background, tuple) else (background,)
     if not arms:
@@ -725,36 +741,39 @@ def _evolve(
     rows[0] = first[0]
     r = 1  # the next record
     # Bytes per block row that _BLOCK_BYTES bounds, float64 but for the mask,
-    # for W = A * R state rows: the shares (W, n), drawn and normalized in
-    # place arm by arm, each replica's rows its generator's slab, and, when
-    # staged, their copy in the stage (W, n) as well; their totals (W,); the
-    # row sums (W,), reused in place by the drift check; the drift and its
-    # mask.  So a row is 8 * W * (n + 2) + 9 bytes, or 8 * W * (2n + 2) + 9
-    # staged.  One block is alive at a time; a block is at least one row, so
-    # a row past the budget overruns it.  A rejected Gaussian draw or an
-    # all-zero raw row briefly adds a mask of the block and compacted copies
-    # of one replica's rows.  The draw floor (see _BLOCK_BYTES) may double the budget.
+    # for W = A * R state rows: the shares (W, n), drawn and normalized arm by
+    # arm, each replica's rows its generator's slab, and, when staged, their
+    # copy in the stage (W, n) as well; their totals (W,); the row sums (W,),
+    # reused in place by the drift check; the drift and its mask.  So a row is
+    # 8 * W * (n + 2) + 9 bytes, or 8 * W * (2n + 2) + 9 staged.  One block is
+    # alive at a time; while a forked run's child steps block b in the stage,
+    # the shares counted are those of block b + 1, drawn by the caller (see
+    # _BLOCK_BYTES).  A block is at least one row, so a row past the budget
+    # overruns it.  A rejected Gaussian draw or an all-zero raw row briefly
+    # adds a mask of the block and compacted copies of one replica's rows.
+    # The draw floor (see _BLOCK_BYTES) may double the budget.
     row_bytes = 8 * width * ((1 + staged) * n + 2) + 9
     floor = min(-(-_MIN_CALL_DRAWS // n), _BLOCK_BYTES // 8 // (replicas * n),
                 2 * _BLOCK_BYTES // row_bytes)
     per_block = max(1, _BLOCK_BYTES // row_bytes, floor)
+    blocks = range(0, transactions, per_block)
     sums = np.empty((min(per_block, transactions), width))
-    stage = np.empty((len(sums), width, n)) if staged else None
     pool = np.empty((width, 1, 1))
     gain = np.empty_like(x)
-    for done in range(0, transactions, per_block):
+
+    def sampled(done: int) -> list[np.ndarray]:
+        # Each arm's (R, rows, n) shares of the block from transaction done + 1.
         todo = min(per_block, transactions - done)
-        if stage is None:
-            eps = sample_epsilon_matrix(arms[0], replicas * todo, n, streams[0])
-            eps = eps.reshape(replicas, todo, n)
-        else:
-            eps = stage[:todo].swapaxes(0, 1)  # eps[:, j] is a C-contiguous (W, n) row
-            for a, (bg, rngs) in enumerate(zip(arms, streams)):
-                eps[a * replicas : (a + 1) * replicas] = sample_epsilon_matrix(
-                    bg, replicas * todo, n, rngs
-                ).reshape(replicas, todo, n)
-        # Each state overwrites the share row it was stepped from, so row j
-        # ends as the state after transaction done + j + 1.
+        return [sample_epsilon_matrix(bg, replicas * todo, n, rngs).reshape(replicas, todo, n)
+                for bg, rngs in zip(arms, streams)]
+
+    def advance(eps: np.ndarray, done: int) -> None:
+        # Steps the (W, rows, n) shares ``eps`` of the block from transaction
+        # done + 1, records its cadence rows and checks it.  Each state
+        # overwrites the share row it was stepped from, so row j ends as the
+        # state after transaction done + j + 1.
+        nonlocal r, max_drift
+        todo = eps.shape[1]
         if fixed_pool is not None:
             eps *= fixed_pool
         prev = x
@@ -763,12 +782,11 @@ def _evolve(
             if fixed_pool is None:  # pool the contiguous state as step() does, then store it
                 np.matmul(x[:, None, :], release[:, None], out=pool)
                 np.multiply(row, pool[:, 0], out=x)
-                x += gain
+                np.add(x, gain, out=x)
                 row[...] = x
             else:
                 np.add(row, gain, out=row)
                 prev = row
-        del prev, row  # a view would keep this block alive through the next draw
         x[...] = eps[:, -1]
         _row_sums(eps, out=sums[:todo].T)
         on = eps[:, -(done + 1) % record_every :: record_every]  # the block's cadence rows
@@ -776,7 +794,6 @@ def _evolve(
         if c:
             rows[r : r + c] = reduce(on.swapaxes(0, 1))
             r += c
-        del eps, on  # the next block is drawn with this one freed
         # With lam and eps in [0, 1] and x >= 0, every new entry is a sum of
         # non-negative products, which IEEE rounding keeps >= 0; so one check
         # per block is a tripwire for broken inputs (it also catches NaN).
@@ -785,9 +802,128 @@ def _evolve(
         # While wealth stays non-negative it is bounded by the total, so the
         # drift of a whole block can be checked after it.
         max_drift = max(max_drift, _drift(sums[:todo], total, done + 1))
-    if transactions % record_every:  # the final record is off cadence
-        rows[r] = reduce(x[None])[0]
-    return indices, rows, max_drift
+
+    def finish() -> tuple[np.ndarray, float]:
+        if transactions % record_every:  # the final record is off cadence
+            rows[r] = reduce(x[None])[0]
+        return rows, max_drift
+
+    if not staged:
+        for done in blocks:
+            advance(sampled(done)[0], done)
+        return indices, *finish()
+    size = len(sums) * width * n
+    stage = np.frombuffer(mmap.mmap(-1, 8 * size), float, size).reshape(len(sums), width, n)
+
+    def staged_block(done: int) -> np.ndarray:
+        # The stage's view of the block from transaction done + 1: eps[:, j]
+        # is a C-contiguous (W, n) row.
+        return stage[: min(per_block, transactions - done)].swapaxes(0, 1)
+
+    if len(blocks) > 1 and hasattr(os, "fork") and _rows._cpus() >= 2:
+        forked = _forked(blocks, sampled, staged_block, advance, finish)
+        if forked is not None:
+            return indices, *forked
+    for done in blocks:
+        eps = staged_block(done)
+        np.concatenate(sampled(done), out=eps)
+        advance(eps, done)
+    return indices, *finish()
+
+
+def _forked(blocks: range, sampled: Callable, staged_block: Callable, advance: Callable,
+            finish: Callable) -> tuple[np.ndarray, float] | None:
+    # Runs ``_evolve``'s staged blocks in a forked child and returns the
+    # child's ``finish()``, or None, having run nothing, if no pipe or process
+    # can be had.  This process draws block b + 1 with ``sampled`` while the
+    # child runs ``advance`` on block b; it then waits for the child to free
+    # the stage, copies the block into ``staged_block(done)``, which lives in
+    # a shared mapping, and hands it over with a byte on one pipe.  The child
+    # answers on another pipe with one pickled message per block: None when
+    # the stage is free again, then ``finish()``'s rows and drift, or the
+    # exception that stopped it.  The child leaves only through os._exit, and
+    # is reaped on every path.  Should this process fail, it closes the
+    # hand-over pipe, so that the child stops after its block, and raises the
+    # child's exception if the child sent one, as the child's block came first.
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        with warnings.catch_warnings():
+            # CPython 3.12+ warns that forking a process with threads may
+            # deadlock the child.  numpy's BLAS threads are the ones here:
+            # OpenBLAS stops its pool before a fork and starts it again on
+            # demand (pthread_atfork), and the child runs numpy calls on its
+            # own arrays and then os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    go_read, go, back, back_write = fds
+    if pid == 0:
+        try:
+            os.close(go)
+            os.close(back)
+            with os.fdopen(back_write, "wb") as out:
+                try:
+                    for done in blocks:
+                        if not os.read(go_read, 1):  # the caller stopped
+                            break
+                        advance(staged_block(done), done)
+                        pickle.dump(None, out)
+                        out.flush()
+                    else:
+                        pickle.dump(finish(), out, pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:
+                    out.write(pickle.dumps(exc))
+        finally:
+            os._exit(0)
+    os.close(go_read)
+    os.close(back_write)
+    with os.fdopen(back, "rb") as replies, os.fdopen(go, "wb", buffering=0) as hand_over:
+
+        def reply():
+            # The child's next message; its exception is raised here.
+            try:
+                message = pickle.load(replies)
+            except EOFError:
+                raise ChildProcessError("the process stepping the staged arms ended "
+                                        "without a result") from None
+            if isinstance(message, BaseException):
+                raise message
+            return message
+
+        def sent_error():
+            # The exception among the child's remaining messages, if it sent one.
+            try:
+                while not isinstance(message := pickle.load(replies), BaseException):
+                    pass
+            except (EOFError, pickle.UnpicklingError):
+                return None
+            return message
+
+        try:
+            for done in blocks:
+                drawn = sampled(done)
+                if done:
+                    reply()  # the stage is free
+                np.concatenate(drawn, out=staged_block(done))
+                del drawn  # the next block is drawn with this one freed
+                hand_over.write(b"\0")
+            reply()
+            return reply()
+        except BaseException:
+            hand_over.close()  # the child stops after its block
+            error = sent_error()
+            if error is not None:
+                raise error from None
+            raise
+        finally:
+            os.waitpid(pid, 0)
 
 
 def run_trajectory(

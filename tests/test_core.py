@@ -1023,6 +1023,163 @@ def test_drift_is_caught_at_its_first_transaction_in_a_later_block():
     assert str(info.value).endswith(f"at transaction {bg.counts[0] + 1}")
 
 
+def _forking(monkeypatch, cpus):
+    # Lets _evolve count ``cpus`` CPUs, and returns the list of its forks.
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(core._rows, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("per_agent", [False, True], ids=["one-lam", "per-agent-lam"])
+@pytest.mark.parametrize("cadence", [1, 7, None])
+@pytest.mark.parametrize(
+    "budget, transactions, blocks",
+    [(512 * 1024, 300, 1), (1, 2, 2), (4 * 1024, 300, 15), (1, 300, 300)],
+    ids=["one-block", "two-blocks", "15-blocks", "300-blocks"],
+)
+def test_forked_stepping_is_the_one_process_run(per_agent, cadence, budget, transactions, blocks,
+                                                monkeypatch):
+    # Two staged arms, one a Gaussian that rejects draws, stepped in a forked
+    # child while this process samples the next block, give the rows and drift
+    # of the one-process run bit for bit.  Only a run of two blocks or more
+    # forks, once, and no child outlives it.
+    lam = np.array([0.9, 0.5, 0.75]) if per_agent else np.full(3, 0.9)
+    wealth = np.array([10.0, 200.0, 35.0])
+    arms = (ws.UniformBackground(), ws.GaussianBackground(0.3, 0.4))
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+    runs = []
+    for cpus in (1, 2):
+        forks = _forking(monkeypatch, cpus)
+        runs.append(_evolve(lam, wealth, arms, transactions, 5, 3, cadence, lambda s: s.copy()))
+        assert len(forks) == (cpus > 1 and blocks > 1)
+        _assert_no_child_left()
+    (indices, rows, drift), (forked_indices, forked_rows, forked_drift) = runs
+    assert rows.shape == (indices.size, 6, 3)
+    assert np.array_equal(forked_indices, indices)
+    assert np.array_equal(forked_rows, rows)
+    assert forked_drift == drift
+
+
+class _BreaksLater(ws.NoiseBackground):
+    """Uniform shares for the first block, a negative share per row for the
+    second, and a sampling error from the third on."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def shares(self, count, n, rng):
+        self.calls += 1
+        if self.calls == 1:
+            return ws.UniformBackground().shares(count, n, rng)
+        if self.calls == 2:
+            return np.tile([2.0, -1.0], (count, 1))
+        raise ws.ParameterError("sampling broke")
+
+
+@pytest.mark.parametrize("broken", [_TurnsNegativeBackground, _BreaksLater])
+def test_a_forked_childs_error_is_raised_with_its_type_and_message(broken, monkeypatch):
+    # An arm that turns negative in its second block fails the child's check
+    # there.  Its error reaches this process as the one-process run raises it,
+    # also when this process's own sampling of the third block has failed by
+    # then: the child's block came first.
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 4 * 1024)
+    errors, calls = [], []
+    for cpus in (1, 2):
+        forks = _forking(monkeypatch, cpus)
+        arms = (ws.UniformBackground(), broken())
+        with pytest.raises(ws.ConservationError, match="negative") as info:
+            _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), arms, 3000, 0, 2, 1,
+                    lambda s: s.copy())
+        assert len(forks) == (cpus - 1)
+        _assert_no_child_left()
+        errors.append(str(info.value))
+        calls.append(arms[1].calls)
+    assert errors[1] == errors[0]
+    # The forked run samples one block ahead.
+    assert calls == [2, 3]
+
+
+def test_a_forked_child_that_ends_without_a_result_raises(monkeypatch):
+    # A child that leaves without a word, as one the system kills would.
+    parent = os.getpid()
+
+    def reduce(s):
+        if os.getpid() != parent:
+            os._exit(0)
+        return s.copy()
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 4 * 1024)
+    _forking(monkeypatch, 2)
+    arms = (ws.UniformBackground(), ws.GaussianBackground())
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        _evolve(np.array([0.5, 0.5]), np.array([50.0, 50.0]), arms, 3000, 0, 2, 1, reduce)
+    _assert_no_child_left()
+
+
+def test_a_run_that_cannot_fork_steps_in_one_process(monkeypatch):
+    # With no process to spare the run steps its arms itself, to the same
+    # bits, and leaves no pipe open.
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 4 * 1024)
+    arms = (ws.UniformBackground(), ws.GaussianBackground())
+    args = (np.array([0.5, 0.75]), np.array([50.0, 20.0]), arms, 300, 0, 2, 7, lambda s: s.copy())
+    _forking(monkeypatch, 1)
+    indices, rows, drift = _evolve(*args)
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(core._rows, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    got_indices, got_rows, got_drift = _evolve(*args)
+    assert np.array_equal(got_indices, indices) and np.array_equal(got_rows, rows)
+    assert got_drift == drift
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_forked_stepping_runs_with_default_blas_threads():
+    # numpy's default BLAS threads make the process multi-threaded, and
+    # CPython 3.12+ warns when such a process forks; under -W error a
+    # per-agent-lam compare (whose pool is a matmul in the child) still forks
+    # once and matches the one-process run.
+    script = """
+import os
+import numpy as np
+import wealthsim as ws
+from wealthsim import _rows
+
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+params = ws.make_agents(5, [0.2, 0.4, 0.6, 0.8, 0.95], [1.0, 2.0, 3.0, 4.0, 5.0])
+results = []
+for cpus in (2, 1):
+    _rows._cpus = lambda: cpus
+    results.append(ws.compare_backgrounds(params, 3000, 3, 10, record_every=3))
+assert forks == [1], forks
+for name in ("ensemble_variance_uniform", "ensemble_variance_gaussian"):
+    assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name
+assert results[0].max_conservation_drift == results[1].max_conservation_drift
+"""
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def _conservation_verdicts(x0, y0):
     # One transaction at lam 0.5 and shares (0.5, 0.5) through each route that
     # checks the total; True where the route accepts it.

@@ -1,5 +1,6 @@
 """Histograms, Gamma fits, convergence detection, background comparison."""
 
+import os
 import statistics
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import wealthsim as ws
+from wealthsim import core
 from wealthsim.stats import _window_sums
 
 
@@ -420,6 +422,47 @@ def test_compare_refuses_an_overflowing_variance():
         ws.compare_backgrounds(ws.make_agents(2, 0.9, 1e307), 40, 2, 0)
     result = ws.compare_backgrounds(ws.make_agents(2, 0.9, 1e154), 40, 2, 41)
     assert 0.0 < result.variance_uniform < np.inf
+
+
+def _one_and_two_cpus(monkeypatch, run):
+    # run() with stepping in this process (one CPU) and in a forked child (two
+    # CPUs, blocks of one transaction), with the forks each made; no child is left.
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    fork, out = os.fork, []
+    for cpus in (1, 2):
+        forks = []
+        monkeypatch.setattr(core._rows, "_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        try:
+            out.append((run(), len(forks)))
+        except Exception as exc:
+            out.append((exc, len(forks)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return out
+
+
+def test_forked_compare_is_the_one_process_compare(monkeypatch):
+    params = ws.make_agents(5, [0.2, 0.4, 0.6, 0.8, 0.95], [1.0, 2.0, 3.0, 4.0, 5.0])
+    (alone, no_forks), (forked, forks) = _one_and_two_cpus(
+        monkeypatch, lambda: ws.compare_backgrounds(params, 300, 3, 10, record_every=3))
+    assert (no_forks, forks) == (0, 1)
+    for name, value in vars(alone).items():
+        got = getattr(forked, name)
+        assert (np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value), name
+
+
+def test_a_forked_variance_overflow_is_refused(monkeypatch):
+    # The child's reduce overflows under variance_trajectory's errstate; its
+    # FloatingPointError becomes the same ParameterError as in one process.
+    params = ws.make_agents(2, 0.9, 1e307)
+    (alone, no_forks), (forked, forks) = _one_and_two_cpus(
+        monkeypatch, lambda: ws.compare_backgrounds(params, 40, 2, 0))
+    assert (no_forks, forks) == (0, 1)
+    for error in (alone, forked):
+        assert isinstance(error, ws.ParameterError)
+    assert str(forked) == str(alone)
+    assert "cross-agent wealth variance overflows" in str(alone)
 
 
 def test_runs_without_agents_raise_before_any_warning():
